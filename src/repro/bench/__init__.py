@@ -1,8 +1,8 @@
 """Simulator performance benchmarking and regression gating.
 
 ``python -m repro bench`` times the simulator itself (cycles simulated per
-wall-clock second) over a pinned workload subset under every execution
-engine, writes a schema-versioned ``BENCH_sim_throughput.json`` report,
+wall-clock second) over a pinned workload subset under both execution
+engines and the Base and RLPV design points, writes a schema-versioned ``BENCH_sim_throughput.json`` report,
 and — given a committed baseline — fails when throughput regresses by more
 than the tolerance.  See :mod:`repro.bench.throughput`.
 """
@@ -11,6 +11,7 @@ from repro.bench.throughput import (
     BENCH_SCHEMA_VERSION,
     DEFAULT_REPORT_NAME,
     ENGINES,
+    MODELS,
     PINNED_SUBSET,
     REGRESSION_TOLERANCE,
     BenchEntry,
@@ -25,6 +26,7 @@ __all__ = [
     "BENCH_SCHEMA_VERSION",
     "DEFAULT_REPORT_NAME",
     "ENGINES",
+    "MODELS",
     "PINNED_SUBSET",
     "REGRESSION_TOLERANCE",
     "BenchEntry",

@@ -346,7 +346,9 @@ def check_benchmark(
     """Run one benchmark under the lockstep oracle and verify its output.
 
     Always simulates (no result cache — a cached result would check
-    nothing).  Returns a summary dict; raises :class:`DivergenceError` /
+    nothing) on the scalar engine, the oracle configuration; the fast
+    engine's own lockstep runs live in ``tests/test_exec_differential.py``.
+    Returns a summary dict; raises :class:`DivergenceError` /
     :class:`InvariantViolation` on failure.
     """
     from repro.core.models import model_config
@@ -354,6 +356,7 @@ def check_benchmark(
 
     config = model_config(model, **wir_overrides)
     config.num_sms = num_sms
+    config.exec_engine = "scalar"
     workload = build_workload(abbr, scale=scale, seed=seed)
     launch = KernelLaunch(workload.program, workload.grid, workload.block,
                           workload.image)

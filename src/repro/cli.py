@@ -19,7 +19,7 @@ Commands:
   observability layer armed: print the per-SM stall-attribution table and
   export a Chrome ``trace_event`` JSON (chrome://tracing / Perfetto).
 * ``bench [--check] ...``       — time the simulator itself (cycles/sec,
-  scalar vs vector engine) over the pinned subset; write
+  scalar vs fast engine, Base and RLPV) over the pinned subset; write
   ``BENCH_sim_throughput.json`` and optionally gate against the committed
   baseline (>15% normalized regression fails).
 * ``pipeline show``             — print the composed stage graph (declared
@@ -282,9 +282,9 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    from repro.bench import (DEFAULT_REPORT_NAME, ENGINES, PINNED_SUBSET,
-                             BenchReport, compare_reports, measure_subset,
-                             speedup_table)
+    from repro.bench import (DEFAULT_REPORT_NAME, ENGINES, MODELS,
+                             PINNED_SUBSET, BenchReport, compare_reports,
+                             measure_subset, speedup_table)
 
     baseline_path = Path(args.baseline or DEFAULT_REPORT_NAME)
     if args.check and not baseline_path.exists():
@@ -300,15 +300,17 @@ def _cmd_bench(args) -> int:
         subset = tuple((abbr, max(1, scale - 2)) for abbr, scale in subset)
     reps = 1 if args.quick else args.reps
 
-    print(f"timing {len(subset)} workloads x {len(ENGINES)} engines, "
-          f"best of {reps} rep{'s' if reps != 1 else ''} ...")
+    print(f"timing {len(subset)} workloads x {len(MODELS)} models x "
+          f"{len(ENGINES)} engines, best of {reps} "
+          f"rep{'s' if reps != 1 else ''} ...")
     report = measure_subset(reps=reps, subset=subset, progress=print)
-    for engine in ENGINES:
-        print(f"aggregate {engine:<10} {report.aggregate_cps(engine):,.0f} "
-              f"cycles/sec (normalized "
-              f"{report.aggregate_cps(engine, normalized=True):,.0f})")
-    print(f"vector speedup: {report.vector_speedup:.2f}x")
-    print(f"superblock speedup: {report.superblock_speedup:.2f}x")
+    for model in MODELS:
+        for engine in ENGINES:
+            cps = report.aggregate_cps(model, engine)
+            norm = report.aggregate_cps(model, engine, normalized=True)
+            print(f"aggregate {model:<5} {engine:<7} {cps:,.0f} cycles/sec "
+                  f"(normalized {norm:,.0f})")
+        print(f"{model} fast speedup: {report.speedup(model):.2f}x")
 
     out = args.out
     if out is None and not args.quick and not args.check:
@@ -524,7 +526,6 @@ def _campaign_matrix(args):
         scales=tuple(int(s) for s in args.scales.split(",")),
         seeds=tuple(int(s) for s in args.seeds.split(",")),
         num_sms=args.sms,
-        exec_engine=args.engine,
         **_parse_sweeps(args.sweep))
 
 
@@ -641,7 +642,7 @@ def _query_params(args) -> dict:
     params = {}
     if args.workload is not None:
         params["workload"] = [args.workload]
-    for name in ("model", "scale", "seed", "sms", "engine"):
+    for name in ("model", "scale", "seed", "sms"):
         value = getattr(args, name)
         if value is not None:
             params[name] = [str(value)]
@@ -741,8 +742,8 @@ def build_parser() -> argparse.ArgumentParser:
     ckpt_save.add_argument("--sms", type=int, default=2)
     ckpt_save.add_argument("--scale", type=int, default=1)
     ckpt_save.add_argument("--seed", type=int, default=7)
-    ckpt_save.add_argument("--engine", default="scalar",
-                           choices=("scalar", "vector", "superblock"))
+    ckpt_save.add_argument("--engine", default="fast",
+                           choices=("scalar", "fast"))
     ckpt_save.set_defaults(func=_cmd_ckpt_save)
     ckpt_resume = ckpt_sub.add_parser(
         "resume", help="finish a checkpointed run in this process")
@@ -766,8 +767,8 @@ def build_parser() -> argparse.ArgumentParser:
         "show", help="print the composed stage graph for a config")
     pipeline_show.add_argument("--model", default="RLPV",
                                choices=model_names())
-    pipeline_show.add_argument("--engine", default="scalar",
-                               choices=("scalar", "vector", "superblock"))
+    pipeline_show.add_argument("--engine", default="fast",
+                               choices=("scalar", "fast"))
     pipeline_show.add_argument("--json", metavar="OUT", default=None,
                                help="dump stage descriptions as JSON "
                                     "('-' for stdout)")
@@ -798,8 +799,6 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_run.add_argument("--scales", default="1")
     campaign_run.add_argument("--seeds", default="7")
     campaign_run.add_argument("--sms", type=int, default=2)
-    campaign_run.add_argument("--engine", default="scalar",
-                              choices=("scalar", "vector", "superblock"))
     campaign_run.add_argument("--sweep", action="append", default=[],
                               metavar="NAME=V1,V2",
                               help="WIR config sweep axis (repeatable)")
@@ -874,7 +873,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_parser = sub.add_parser(
         "bench",
-        help="time the simulator (scalar vs vector vs superblock engine)")
+        help="time the simulator (scalar vs fast engine, Base and RLPV)")
     bench_parser.add_argument("--reps", type=int, default=3,
                               help="repetitions per measurement; the minimum "
                                    "wall time wins (default 3)")
@@ -981,8 +980,6 @@ def build_parser() -> argparse.ArgumentParser:
     query_parser.add_argument("--seed", type=int, default=None)
     query_parser.add_argument("--sms", type=int, default=None,
                               help="number of SMs")
-    query_parser.add_argument("--engine", default=None,
-                              help="scalar or vector")
     query_parser.add_argument("--dir", metavar="DIR", default=None,
                               help="result cache directory to read/fill")
     query_parser.set_defaults(func=_cmd_query)

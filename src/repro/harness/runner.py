@@ -94,10 +94,6 @@ class RunSpec:
     checked: bool = False
     #: Collect per-cycle stall attribution (``sm*.stall.*``; ``repro.trace``).
     trace_stalls: bool = False
-    #: Execution engine (``"scalar"`` | ``"vector"``).  Both are bit-identical
-    #: (see ``tests/test_exec_differential.py``); scalar stays the default so
-    #: cached experiment digests are unchanged.
-    exec_engine: str = "scalar"
     #: Snapshot simulator state every N cycles so a killed or timed-out job
     #: resumes from its checkpoint on retry (``repro.ckpt``; needs an
     #: on-disk cache dir).  ``None`` (default) leaves runs byte-identical
@@ -115,13 +111,12 @@ class RunSpec:
         profile: bool = False,
         checked: bool = False,
         trace_stalls: bool = False,
-        exec_engine: str = "scalar",
         checkpoint_every: Optional[int] = None,
         **wir_overrides,
     ) -> "RunSpec":
         return cls(abbr, model, scale, seed, num_sms, profile,
                    tuple(sorted(wir_overrides.items())), checked=checked,
-                   trace_stalls=trace_stalls, exec_engine=exec_engine,
+                   trace_stalls=trace_stalls,
                    checkpoint_every=checkpoint_every)
 
     def to_dict(self) -> Dict[str, object]:
@@ -139,17 +134,17 @@ class RunSpec:
             "checked": self.checked,
             "trace_stalls": self.trace_stalls,
         }
-        if self.exec_engine != "scalar":
-            # Omitted at the default so pre-existing cache digests (and
-            # payloads) for scalar runs remain valid.
-            data["exec_engine"] = self.exec_engine
         if self.checkpoint_every is not None:
-            # Same digest-stability rule as exec_engine.
+            # Omitted at the default so pre-existing cache digests (and
+            # payloads) remain valid.
             data["checkpoint_every"] = self.checkpoint_every
         return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "RunSpec":
+        # A stored ``exec_engine`` key (payloads, journals and campaign
+        # files written when the engine was part of the spec) is ignored:
+        # engines are bit-identical, so it never named a different run.
         return cls(
             abbr=data["abbr"],
             model=data["model"],
@@ -162,7 +157,6 @@ class RunSpec:
             ),
             checked=data.get("checked", False),
             trace_stalls=data.get("trace_stalls", False),
-            exec_engine=data.get("exec_engine", "scalar"),
             checkpoint_every=data.get("checkpoint_every"),
         )
 
@@ -597,7 +591,6 @@ def _simulate(spec: RunSpec) -> Tuple[RunResult, Optional[RedundancyProfile],
     config = model_config(spec.model, **dict(spec.wir_overrides))
     config.num_sms = spec.num_sms
     config.trace.stalls = spec.trace_stalls
-    config.exec_engine = spec.exec_engine
     config.checkpoint_every = spec.checkpoint_every
     workload = build_workload(spec.abbr, scale=spec.scale, seed=spec.seed)
 
@@ -713,7 +706,6 @@ def run_benchmark(
     profile: bool = False,
     checked: bool = False,
     trace_stalls: bool = False,
-    exec_engine: str = "scalar",
     energy_params: Optional[EnergyParams] = None,
     **wir_overrides,
 ) -> BenchmarkRun:
@@ -726,8 +718,7 @@ def run_benchmark(
     """
     spec = RunSpec.make(abbr, model, scale=scale, seed=seed, num_sms=num_sms,
                         profile=profile, checked=checked,
-                        trace_stalls=trace_stalls, exec_engine=exec_engine,
-                        **wir_overrides)
+                        trace_stalls=trace_stalls, **wir_overrides)
     run_key = (spec, _energy_key(energy_params))
     run = _RUN_CACHE.get(run_key)
     if run is not None:

@@ -27,7 +27,7 @@ small class with a *declared* dataflow interface:
 
 Stages are constructed against a live :class:`~repro.sim.smcore.SMCore`
 and may cache references to core structures (register file, scoreboard,
-stat counters) — that caching is exactly how the vector engine's fused
+stat counters) — that caching is exactly how the fast engine's fused
 implementations keep their speed while sharing one decision path with the
 scalar oracle.
 """

@@ -3,7 +3,7 @@
 This is the stage the two executors bind most differently (DESIGN.md §8,
 §13): the scalar oracle walks :meth:`SelectStage.ready` through
 ``WarpScheduler.pick`` — boring, layered, obviously correct — while the
-vector engine binds :meth:`SelectStage.ready_fast` (inlined hazard scan
+fast engine binds :meth:`SelectStage.ready_fast` (inlined hazard scan
 against cached instruction metadata plus the ``sb_wait`` scoreboard memo)
 and, under GTO, :meth:`SelectStage.fast_pick`, which fuses pick + ready
 into one min-age loop.  All three are decision-identical; the differential
@@ -45,9 +45,9 @@ class SelectStage(Stage):
         self._sb_wait = core._sb_wait
         self._sched_of_slot = core._sched_of_slot
         self._scoreboard = core.scoreboard
-        #: Chosen per engine by the core: ``ready_fast`` (vector) or
+        #: Chosen per engine by the core: ``ready_fast`` (fast) or
         #: ``ready`` (scalar); ``fast_pick`` additionally replaces
-        #: ``scheduler.pick`` under vector + GTO.
+        #: ``scheduler.pick`` under fast + GTO.
         self.ready_impl = self.ready_fast if core._fast_path else self.ready
 
     def bind(self, spec) -> None:
@@ -116,7 +116,7 @@ class SelectStage(Stage):
     # ------------------------------------------------------------ arbitration
 
     def fast_pick(self, scheduler: WarpScheduler) -> Optional[int]:
-        """Fused GTO arbitration (vector engine): ``scheduler.pick`` with
+        """Fused GTO arbitration (fast engine): ``scheduler.pick`` with
         the :meth:`ready_fast` body inlined into the min-age scan.
 
         Decision-identical to ``scheduler.pick(self.ready_fast)``: the

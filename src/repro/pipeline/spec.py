@@ -5,7 +5,7 @@
 paper's pipeline order), runs the two-phase bind (construct all, then
 resolve cross-stage references), and validates the declared dataflow.  Both
 executors consume the result: the scalar oracle walks the stages through
-``SMCore``'s event loop, the vector engine calls the same stage objects
+``SMCore``'s event loop, the fast engine calls the same stage objects
 through bound-method references cached at SM construction (DESIGN.md §13).
 """
 

@@ -300,8 +300,7 @@ async def handle_index(service: ResultService, request: Request) -> Response:
     return Response.json(200, {
         "service": "repro-serve",
         "endpoints": [
-            "/v1/figure/{fig}?workload=KM&model=RLPV&scale=1&seed=7"
-            "&sms=N&engine=scalar",
+            "/v1/figure/{fig}?workload=KM&model=RLPV&scale=1&seed=7&sms=N",
             "/v1/suite/{fig}",
             "/v1/result/{digest}",
             "/v1/jobs/{id}",

@@ -204,7 +204,6 @@ def load_via_harness(query: QuerySpec) -> Dict[str, Dict[str, LoadedRun]]:
             run = run_benchmark(
                 spec.abbr, spec.model, scale=spec.scale, seed=spec.seed,
                 num_sms=spec.num_sms, profile=spec.profile,
-                exec_engine=spec.exec_engine,
                 **dict(spec.wir_overrides))
             loaded[abbr][role] = LoadedRun(
                 spec=spec, digest=spec.digest(), result=run.result,

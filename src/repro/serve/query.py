@@ -12,7 +12,7 @@ so any serve-only drift would silently split the cache into an HTTP half
 and a CLI half.  ``tests/test_serve_query.py`` holds a hypothesis
 property pinning the two together.
 
-Parsing is strict: unknown figures, workloads, models, engines, unknown
+Parsing is strict: unknown figures, workloads, models, unknown
 parameter names, repeated parameters, and out-of-range integers all raise
 :class:`QueryError`, which handlers turn into ``400`` error envelopes.
 """
@@ -52,7 +52,6 @@ class QuerySpec:
     scale: int = 1
     seed: int = 7
     num_sms: int = EXPERIMENT_SMS
-    exec_engine: str = "scalar"
 
     @property
     def suite(self) -> bool:
@@ -70,7 +69,6 @@ class QuerySpec:
             "scale": self.scale,
             "seed": self.seed,
             "num_sms": self.num_sms,
-            "exec_engine": self.exec_engine,
         }
 
 
@@ -117,7 +115,7 @@ def parse_query(fig: str, params: Mapping[str, Sequence[str]],
         raise QueryError(
             f"unknown figure {fig!r}; available: {', '.join(FIGURES)}",
             param="fig")
-    allowed = {"workload", "model", "scale", "seed", "sms", "engine"}
+    allowed = {"workload", "model", "scale", "seed", "sms"}
     unknown = sorted(set(params) - allowed)
     if unknown:
         raise QueryError(f"unknown parameter(s) {', '.join(unknown)}",
@@ -141,10 +139,6 @@ def parse_query(fig: str, params: Mapping[str, Sequence[str]],
     if model not in model_names():
         raise QueryError(f"unknown model {model!r}; available: "
                          f"{', '.join(model_names())}", param="model")
-    engine = _one(params, "engine", "scalar")
-    if engine not in ("scalar", "vector"):
-        raise QueryError(f"unknown engine {engine!r} "
-                         "(scalar or vector)", param="engine")
     return QuerySpec(
         fig=fig,
         workload=workload,
@@ -152,7 +146,6 @@ def parse_query(fig: str, params: Mapping[str, Sequence[str]],
         scale=_int(params, "scale", 1, 1, MAX_SCALE),
         seed=_int(params, "seed", 7, 0, MAX_SEED),
         num_sms=_int(params, "sms", EXPERIMENT_SMS, 1, MAX_SMS),
-        exec_engine=engine,
     )
 
 
@@ -162,15 +155,14 @@ def role_spec(query: QuerySpec, role: str, abbr: str) -> RunSpec:
     Roles come from the figure table: ``"Base"`` pins the baseline design
     point, ``"MODEL"`` is the query's model axis, and ``"PROFILE"`` is a
     Base run with the redundancy profiler armed (Figure 2).  Everything
-    else about the spec — scale, seed, SM count, engine — comes straight
+    else about the spec — scale, seed, SM count — comes straight
     from the query, through the *same* ``RunSpec.make`` the CLI harness
     uses, so serve digests and CLI digests can never drift apart.
     """
     profile = role == "PROFILE"
     model = query.model if role == "MODEL" else "Base"
     return RunSpec.make(abbr, model, scale=query.scale, seed=query.seed,
-                        num_sms=query.num_sms, profile=profile,
-                        exec_engine=query.exec_engine)
+                        num_sms=query.num_sms, profile=profile)
 
 
 def required_specs(query: QuerySpec) -> Dict[str, Dict[str, RunSpec]]:

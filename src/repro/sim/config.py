@@ -176,12 +176,12 @@ class GPUConfig:
     checkpoint_every: Optional[int] = None
 
     # --- host execution strategy (simulation speed, not modelled hardware) ---
-    #: "scalar" interprets every issued instruction (the oracle, default);
-    #: "vector" uses per-instruction compiled numpy kernels plus the fast
-    #: issue loop; "superblock" adds trace compilation of straight-line
-    #: instruction runs on top of the vector engine.  All produce
-    #: bit-identical results (see DESIGN.md §8 and §16).
-    exec_engine: str = "scalar"
+    #: "fast" (the default) runs per-instruction compiled numpy kernels, the
+    #: fused issue loop, and trace-compiled straight-line superblocks;
+    #: "scalar" interprets every issued instruction and is the correctness
+    #: oracle.  Both produce bit-identical results (DESIGN.md §8 and §16),
+    #: so the engine is not part of any content address.
+    exec_engine: str = "fast"
 
     # --- reuse design ---
     wir: WIRConfig = field(default_factory=WIRConfig)
@@ -220,7 +220,7 @@ class GPUConfig:
             raise ValueError("trace sampling parameters must be non-negative")
         if self.checkpoint_every is not None and self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be at least 1 cycle")
-        if self.exec_engine not in ("scalar", "vector", "superblock"):
+        if self.exec_engine not in ("scalar", "fast"):
             raise ValueError(
                 f"unknown exec engine {self.exec_engine!r}; "
-                "expected 'scalar', 'vector', or 'superblock'")
+                "expected 'scalar' or 'fast'")

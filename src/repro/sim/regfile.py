@@ -39,11 +39,11 @@ class RegisterFileTiming:
         self.stats = RegisterFileStats("regfile")
         #: Observability hook (an ``SMTraceView`` or ``None``).
         self.tracer = None
-        #: Vector-engine fast path: ``schedule_read``/``schedule_write`` run
+        #: Fast-engine path: ``schedule_read``/``schedule_write`` run
         #: several times per backend instruction, so they mutate the Counter
         #: objects directly instead of going through the StatGroup attribute
         #: magic.  Same objects, so the reported stats are identical.
-        self._fast_stats = config.exec_engine in ("vector", "superblock")
+        self._fast_stats = config.exec_engine == "fast"
         counters = self.stats._stats
         self._c_read_requests = counters["read_requests"]
         self._c_read_retries = counters["read_retries"]

@@ -26,7 +26,7 @@ class WarpScheduler:
         #: Slot age: lower = older; refreshed when a block is dispatched.
         self._age: dict = {slot: i for i, slot in enumerate(self.slots)}
         self._age_counter = len(self.slots)
-        #: Fast-path arbitration (set by the SM when the vector engine is
+        #: Fast-path arbitration (set by the SM when the fast engine is
         #: selected): GTO scans only slots currently holding a warp instead
         #: of the full static group.  Ages are unique, so the min-age winner
         #: is independent of scan order and the pick is provably identical —
@@ -51,7 +51,7 @@ class WarpScheduler:
         #: dispatch).  Pure optimisation state — never serialized; a restore
         #: starts at 0 and the first scan recomputes it.
         self.wake_memo = 0
-        #: Greedy-hint handoff (superblock engine): when an issued warp's
+        #: Greedy-hint handoff (superblock dispatch): when an issued warp's
         #: next instruction is already hazard-free, ``try_issue`` pins
         #: (cycle+1, slot, fu-class) here, and the next tick re-checks only
         #: the FU gate instead of re-running arbitration — the GTO greedy

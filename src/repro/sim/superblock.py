@@ -1,4 +1,4 @@
-"""Superblock trace compilation for the vector engine (DESIGN.md §16).
+"""Superblock trace compilation for the fast engine (DESIGN.md §16).
 
 The per-instruction fast path (DESIGN.md §8) still pays Python dispatch for
 every issued instruction: kernel call, ``ExecResult`` allocation, stage-method
@@ -923,8 +923,10 @@ class SuperblockRuntime:
                 or core.stall is not None or core.affine.enabled
                 or (core.unit is not None and not core.wir_quarantined)):
             # Observer attached or WIR probes live: every pc is a probe /
-            # observation point, so no superblock forms.
+            # observation point, so no superblock forms — and the core
+            # stops offering issues until ``invalidate`` re-arms it.
             table = self._off
+            core._sb_live = None
         else:
             table = compiled_table(core.program, self.digest)
         self.batch = core.unit is None and not self.resumable
@@ -932,8 +934,10 @@ class SuperblockRuntime:
         return table
 
     def invalidate(self) -> None:
-        """Drop all cached dispatch state (quarantine flush hook)."""
+        """Drop all cached dispatch state and re-arm block dispatch, which
+        re-decides at the next issue (quarantine flush hook)."""
         self.table = None
+        self.core._sb_live = self
         for rows in self.rows:
             rows.clear()
         for slot in range(len(self.entry)):

@@ -7,6 +7,7 @@ import pytest
 from repro.bench import (
     BENCH_SCHEMA_VERSION,
     BenchEntry,
+    MODELS,
     BenchReport,
     calibrate_machine,
     compare_reports,
@@ -16,15 +17,16 @@ from repro.bench.throughput import CALIBRATION_REFERENCE_S
 
 
 def _report(calibration_s=CALIBRATION_REFERENCE_S, scalar_cps=5000.0,
-            vector_cps=10000.0, cycles=1000, subset=(("HW", 1),)):
+            fast_cps=10000.0, cycles=1000, subset=(("HW", 1),)):
     report = BenchReport(calibration_s=calibration_s, reps=3,
                          subset=tuple(subset), machine="test")
     for abbr, scale in subset:
-        for engine, cps in (("scalar", scalar_cps), ("vector", vector_cps)):
-            report.entries.append(BenchEntry(
-                abbr=abbr, scale=scale, model="Base", engine=engine,
-                cycles=cycles, instructions=cycles * 2, wall_s=cycles / cps,
-                cycles_per_sec=cps))
+        for model in MODELS:
+            for engine, cps in (("scalar", scalar_cps), ("fast", fast_cps)):
+                report.entries.append(BenchEntry(
+                    abbr=abbr, scale=scale, model=model, engine=engine,
+                    cycles=cycles, instructions=cycles * 2,
+                    wall_s=cycles / cps, cycles_per_sec=cps))
     return report
 
 
@@ -44,17 +46,28 @@ class TestReportSchema:
             BenchReport.from_dict(data)
 
     def test_aggregates(self):
-        report = _report(scalar_cps=5000.0, vector_cps=10000.0)
-        assert report.aggregate_cps("scalar") == pytest.approx(5000.0)
-        assert report.vector_speedup == pytest.approx(2.0)
+        report = _report(scalar_cps=5000.0, fast_cps=10000.0)
+        for model in MODELS:
+            assert report.aggregate_cps(model, "scalar") == \
+                pytest.approx(5000.0)
+            assert report.speedup(model) == pytest.approx(2.0)
+
+    def test_aggregates_are_per_model(self):
+        report = _report()
+        for entry in report.entries_for("RLPV", "fast"):
+            entry.cycles_per_sec /= 2
+        assert report.speedup("Base") == pytest.approx(2.0)
+        assert report.speedup("RLPV") == pytest.approx(1.0)
+        assert report.to_dict()["speedup"] == {"Base": 2.0, "RLPV": 1.0}
 
     def test_machine_normalization(self):
         # A machine whose calibration runs 2x slower than the reference gets
         # its throughput scaled 2x up (same simulator, slower host).
         slow = _report(calibration_s=2 * CALIBRATION_REFERENCE_S)
         fast = _report(calibration_s=CALIBRATION_REFERENCE_S)
-        assert slow.aggregate_cps("scalar", normalized=True) == \
-            pytest.approx(2 * fast.aggregate_cps("scalar", normalized=True))
+        assert slow.aggregate_cps("Base", "scalar", normalized=True) == \
+            pytest.approx(2 * fast.aggregate_cps("Base", "scalar",
+                                                 normalized=True))
 
 
 class TestRegressionGate:
@@ -63,11 +76,11 @@ class TestRegressionGate:
         assert gate.ok
 
     def test_passes_within_tolerance(self):
-        current = _report(scalar_cps=5000.0 * 0.90, vector_cps=10000.0 * 0.90)
+        current = _report(scalar_cps=5000.0 * 0.90, fast_cps=10000.0 * 0.90)
         assert compare_reports(current, _report()).ok
 
     def test_fails_beyond_tolerance(self):
-        current = _report(scalar_cps=5000.0 * 0.80, vector_cps=10000.0 * 0.80)
+        current = _report(scalar_cps=5000.0 * 0.80, fast_cps=10000.0 * 0.80)
         gate = compare_reports(current, _report())
         assert not gate.ok
         assert any("REGRESSION" in m for m in gate.messages)
@@ -76,7 +89,7 @@ class TestRegressionGate:
         # Half the raw throughput on a machine that calibrates 2x slower is
         # not a regression.
         current = _report(calibration_s=2 * CALIBRATION_REFERENCE_S,
-                          scalar_cps=2500.0, vector_cps=5000.0)
+                          scalar_cps=2500.0, fast_cps=5000.0)
         assert compare_reports(current, _report()).ok
 
     def test_subset_change_trips_gate(self):
@@ -90,6 +103,18 @@ class TestRegressionGate:
         gate = compare_reports(current, _report())
         assert not gate.ok
         assert any("drift" in m for m in gate.messages)
+
+    def test_rlpv_regression_alone_trips_gate(self):
+        """A slowdown confined to the WIR design point is not averaged away
+        by an unchanged Base aggregate."""
+        current = _report()
+        for entry in current.entries_for("RLPV", "fast"):
+            entry.cycles_per_sec *= 0.5
+        gate = compare_reports(current, _report())
+        assert not gate.ok
+        regressions = [m for m in gate.messages if "REGRESSION" in m]
+        assert len(regressions) == 1
+        assert regressions[0].startswith("REGRESSION RLPV/fast")
 
     def test_cycle_drift_message_names_workload_and_both_counts(self):
         """A drift failure must say *which* workload/scale pair moved and
@@ -130,15 +155,14 @@ class TestMeasurement:
 
     def test_measure_tiny_subset(self):
         report = measure_subset(reps=1, subset=(("HW", 1),))
-        assert len(report.entries) == 3
-        scalar, = report.engine_entries("scalar")
-        vector, = report.engine_entries("vector")
-        superblock, = report.engine_entries("superblock")
-        # Bit-identical engines: one cycle count, three wall clocks.
-        assert scalar.cycles == vector.cycles == superblock.cycles
-        assert scalar.cycles_per_sec > 0
-        assert vector.cycles_per_sec > 0
-        assert superblock.cycles_per_sec > 0
+        assert len(report.entries) == len(MODELS) * 2
+        for model in MODELS:
+            scalar, = report.entries_for(model, "scalar")
+            fast, = report.entries_for(model, "fast")
+            # Bit-identical engines: one cycle count, two wall clocks.
+            assert scalar.cycles == fast.cycles
+            assert scalar.cycles_per_sec > 0
+            assert fast.cycles_per_sec > 0
         # The fresh report always passes the gate against itself.
         assert compare_reports(report, report).ok
 
@@ -153,6 +177,6 @@ def test_committed_baseline_loads_and_is_self_consistent():
     path = Path(__file__).resolve().parent.parent / DEFAULT_REPORT_NAME
     baseline = BenchReport.load(path)
     assert baseline.subset == PINNED_SUBSET
-    assert baseline.vector_speedup >= 2.0
-    assert baseline.superblock_speedup >= 3.0
+    assert baseline.speedup("Base") >= 3.0
+    assert baseline.speedup("RLPV") > 1.0
     assert compare_reports(baseline, baseline).ok

@@ -399,6 +399,14 @@ class TestMatrixSpec:
                                  seeds=(7, 11), reuse_buffer_entries=(64,))
         assert MatrixSpec.from_dict(matrix.to_dict()) == matrix
 
+    def test_stored_engine_key_is_ignored(self):
+        """Campaign files written while the matrix carried an engine still
+        load, as the same matrix (expanding to the same job digests)."""
+        matrix = MatrixSpec.make(["KM"], models=("Base", "RLPV"))
+        legacy = dict(matrix.to_dict(), exec_engine="scalar")
+        assert MatrixSpec.from_dict(legacy) == matrix
+        assert "exec_engine" not in matrix.to_dict()
+
     def test_campaign_id_tracks_the_design(self):
         matrix = MatrixSpec.make(["KM"])
         base = matrix.campaign_id(400)

@@ -132,14 +132,14 @@ def test_bad_benchmark_rejected():
 
 def test_pipeline_show(capsys):
     code, out = run_cli(capsys, "pipeline", "show", "--model", "RLPV",
-                        "--engine", "vector")
+                        "--engine", "fast")
     assert code == 0
     assert "7 stages" in out
     for stage in ("select", "rename", "reuse_probe", "operand_read",
                   "execute", "allocate_verify", "writeback_retire"):
         assert stage in out
     assert "fused fast_pick/ready_fast" in out
-    assert "vector engine kernels" in out
+    assert "fast engine kernels" in out
 
 
 def test_pipeline_show_json(capsys):
@@ -150,7 +150,7 @@ def test_pipeline_show_json(capsys):
     assert code == 0
     stages = json.loads(out)
     assert [desc["name"] for desc in stages][:2] == ["select", "rename"]
-    assert stages[4]["binding"] == "scalar engine kernels"
+    assert stages[4]["binding"] == "fast engine kernels"
 
 
 def test_parser_structure():
@@ -233,7 +233,7 @@ def test_bench_quick_end_to_end(capsys, tmp_path):
     out = tmp_path / "report.json"
     code, text = run_cli(capsys, "bench", "--quick", "--out", str(out))
     assert code == 0
-    assert "vector speedup" in text
+    assert "RLPV fast speedup" in text
     assert out.exists()
 
 

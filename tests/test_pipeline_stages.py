@@ -163,7 +163,7 @@ def test_register_stage_rejects_duplicate_name():
 
 
 @pytest.mark.parametrize("name", STAGE_NAMES)
-@pytest.mark.parametrize("engine", ["scalar", "vector"])
+@pytest.mark.parametrize("engine", ["scalar", "fast"])
 def test_observer_purity(name, engine):
     """Attaching a tracer to one stage never changes timing or stats."""
     plain = make_sm(engine=engine, source=REUSE_KERNEL)
@@ -192,7 +192,7 @@ def test_reuse_kernel_actually_reuses():
 @pytest.mark.parametrize("name", STAGE_NAMES)
 def test_state_dict_roundtrip(name):
     """state_dict covers exactly STATE_FIELDS and survives JSON + load."""
-    sm = make_sm(engine="vector")
+    sm = make_sm(engine="fast")
     drive(sm, num_blocks=1)
     stage = sm.pipeline.by_name[name]
     state = stage.state_dict()

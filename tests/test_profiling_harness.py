@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro import Dim3, GPU, KernelLaunch, MemoryImage, assemble, model_config
-from repro.harness.runner import clear_cache, run_benchmark, run_suite
+from repro.harness.runner import (RunSpec, clear_cache, run_benchmark,
+                                  run_suite)
 from repro.harness import experiments, reporting
 from repro.profiling import RedundancyProfiler
 from repro.profiling.redundancy import RedundancyProfile
@@ -194,6 +195,22 @@ class TestRunner:
     def test_run_suite(self):
         runs = run_suite(["HT", "DW"], "Base", num_sms=1)
         assert set(runs) == {"HT", "DW"}
+
+    def test_digest_is_pinned(self):
+        """The content address of a plain run is frozen: every cache entry,
+        journal record and served ETag written by earlier versions (when
+        the scalar engine was the default) must keep resolving."""
+        assert RunSpec.make("KM", "RLPV").digest() == (
+            "d3d11e5355f54a3775e1b4c604873e977a70a1960a9b7727b5f9a92aad5ba74b")
+
+    def test_stored_engine_key_is_ignored(self):
+        """Old payloads, journals and campaign files may carry an
+        ``exec_engine`` key; it loads and names the same run."""
+        spec = RunSpec.make("KM", "RLPV")
+        for engine in ("scalar", "vector", "superblock"):
+            data = dict(spec.to_dict(), exec_engine=engine)
+            assert RunSpec.from_dict(data) == spec
+        assert "exec_engine" not in spec.to_dict()
 
 
 class TestExperiments:
