@@ -13,6 +13,23 @@ def test_budget_script_passes():
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "src/repro/sim/smcore.py" in proc.stdout
+    assert "src/ total" in proc.stdout
+
+
+def test_src_total_under_budget():
+    """Deletions stick: the whole ``src/`` tree stays within the ratcheted
+    total line budget, and the guard counts what ``wc -l`` would."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "check_budgets", REPO / "scripts" / "check_budgets.py")
+    budgets = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(budgets)
+    total = sum(path.read_bytes().count(b"\n")
+                for path in (REPO / "src").rglob("*.py"))
+    assert budgets.src_lines(REPO) == total
+    assert total <= budgets.SRC_TOTAL_BUDGET, (
+        f"src/ is {total} lines, budget {budgets.SRC_TOTAL_BUDGET}")
 
 
 def test_smcore_under_budget():
