@@ -11,10 +11,9 @@ loses at most the work since the last checkpoint.
 
 from repro.campaign.engine import (Campaign, CampaignError,
                                    CampaignRunReport, LocalBackend,
-                                   RemoteShellBackend,
-                                   RemoteSpawnUnsupported, campaign_complete,
-                                   fold_journal, job_state, list_campaigns,
-                                   run_campaign, run_worker, worker_main)
+                                   campaign_complete, fold_journal,
+                                   job_state, list_campaigns, run_campaign,
+                                   run_worker, worker_main)
 from repro.campaign.journal import (JournalReadResult, append_record,
                                     read_journal)
 from repro.campaign.lease import (Heartbeat, Lease, LeaseManager,
@@ -27,8 +26,7 @@ from repro.campaign.status import (CampaignStatus, JobStatus,
 __all__ = [
     "Campaign", "CampaignError", "CampaignRunReport", "CampaignStatus",
     "Heartbeat", "JobStatus", "JournalReadResult", "Lease", "LeaseManager",
-    "LocalBackend", "MatrixSpec", "RemoteShellBackend",
-    "RemoteSpawnUnsupported", "SingleFlight",
+    "LocalBackend", "MatrixSpec", "SingleFlight",
     "aggregate_results", "append_record",
     "campaign_complete", "campaign_status", "fold_journal", "job_state",
     "list_campaigns", "read_journal", "render_status", "run_campaign",

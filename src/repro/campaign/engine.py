@@ -36,7 +36,6 @@ import hashlib
 import json
 import os
 import random
-import shlex
 import signal
 import subprocess
 import sys
@@ -54,8 +53,10 @@ from repro.campaign.lease import (DEFAULT_TTL, Heartbeat, LeaseManager,
 from repro.campaign.spec import MatrixSpec
 from repro.harness.runner import JobFailure, RunSpec
 
-#: Bump when the campaign manifest layout changes incompatibly.
-CAMPAIGN_VERSION = 1
+#: Bump when the campaign manifest layout changes incompatibly.  Version 2
+#: dropped the checkpoint cadence from job digests: a version-1 manifest
+#: names its jobs by digests no run publishes under any more.
+CAMPAIGN_VERSION = 2
 
 #: A job that costs this many attempts (worker deaths + raised errors)
 #: is quarantined instead of being granted again.
@@ -157,33 +158,17 @@ class Campaign:
 
         Idempotent: the campaign id is the matrix digest, so creating the
         same matrix twice resumes the existing campaign — its stored
-        manifest (including ``ttl`` / ``max_attempts``) wins, because live
-        workers may already be honouring it.
+        manifest (including ``checkpoint_every`` / ``ttl`` /
+        ``max_attempts``) wins, because live workers may already be
+        honouring it.
         """
-        cache_root = Path(base) if base is not None else runner.cache_dir()
-        if cache_root is None:
-            raise CampaignError(
-                "campaigns need an on-disk cache (set REPRO_CACHE_DIR or "
-                "pass a directory)")
-        campaign_id = matrix.campaign_id(checkpoint_every)
-        root = campaign_base(cache_root) / campaign_id
-        manifest_path = root / "campaign.json"
-        if manifest_path.exists():
-            return cls.open(campaign_id, base=cache_root)
-        specs = matrix.expand(checkpoint_every=checkpoint_every)
-        manifest = {
-            "version": CAMPAIGN_VERSION,
-            "id": campaign_id,
-            "matrix": matrix.to_dict(),
-            "checkpoint_every": checkpoint_every,
-            "ttl": ttl,
-            "max_attempts": max_attempts,
-            "jobs": [{"digest": spec.digest(), "spec": spec.to_dict()}
-                     for spec in specs],
-        }
-        atomic_write_text(manifest_path,
-                          json.dumps(manifest, sort_keys=True, indent=1))
-        return cls(cache_root, manifest)
+        if checkpoint_every is not None and checkpoint_every < 1:
+            # Checked before the manifest exists: a stored cadence wins
+            # over later flags, so a bad one would poison every job.
+            raise CampaignError("checkpoint_every must be at least 1 cycle")
+        return cls._materialize(base, matrix.campaign_id(), matrix.to_dict(),
+                                matrix.expand(), checkpoint_every, ttl,
+                                max_attempts)
 
     @classmethod
     def create_from_specs(cls, specs: Sequence[RunSpec],
@@ -193,38 +178,42 @@ class Campaign:
                           ) -> "Campaign":
         """Materialize (or re-open) an *ad-hoc* campaign from explicit specs.
 
-        This is the programmatic enqueue path the serve API uses: the
-        specs are recorded **verbatim** — in particular no checkpoint
-        cadence is stamped onto them, because rewriting any spec field
-        would move its result to a different content address than the
-        one the enqueuing query (and every CLI invocation of the same
-        parameters) will look up.  The campaign id is derived from the
-        sorted job digests, so re-submitting the same spec set resumes
-        the existing campaign instead of duplicating it.
+        This is the programmatic enqueue path the serve API uses.  The
+        campaign id is derived from the sorted job digests, so
+        re-submitting the same spec set resumes the existing campaign
+        instead of duplicating it.
         """
         if not specs:
             raise CampaignError("an ad-hoc campaign needs at least one spec")
+        by_digest = {spec.digest(): spec for spec in specs}
+        digests = sorted(by_digest)
+        return cls._materialize(base, cls.adhoc_id(digests), None,
+                                [by_digest[digest] for digest in digests],
+                                None, ttl, max_attempts)
+
+    @classmethod
+    def _materialize(cls, base: Optional[os.PathLike], campaign_id: str,
+                     matrix: Optional[Dict], specs: Sequence[RunSpec],
+                     checkpoint_every: Optional[int], ttl: float,
+                     max_attempts: int) -> "Campaign":
+        """Write a new campaign's manifest, or open the one already there."""
         cache_root = Path(base) if base is not None else runner.cache_dir()
         if cache_root is None:
             raise CampaignError(
                 "campaigns need an on-disk cache (set REPRO_CACHE_DIR or "
                 "pass a directory)")
-        by_digest = {spec.digest(): spec for spec in specs}
-        digests = sorted(by_digest)
-        campaign_id = cls.adhoc_id(digests)
-        root = campaign_base(cache_root) / campaign_id
-        manifest_path = root / "campaign.json"
+        manifest_path = campaign_base(cache_root) / campaign_id / "campaign.json"
         if manifest_path.exists():
             return cls.open(campaign_id, base=cache_root)
         manifest = {
             "version": CAMPAIGN_VERSION,
             "id": campaign_id,
-            "matrix": None,
-            "checkpoint_every": None,
+            "matrix": matrix,
+            "checkpoint_every": checkpoint_every,
             "ttl": ttl,
             "max_attempts": max_attempts,
-            "jobs": [{"digest": digest, "spec": by_digest[digest].to_dict()}
-                     for digest in digests],
+            "jobs": [{"digest": spec.digest(), "spec": spec.to_dict()}
+                     for spec in specs],
         }
         atomic_write_text(manifest_path,
                           json.dumps(manifest, sort_keys=True, indent=1))
@@ -443,7 +432,7 @@ def _execute_job(campaign: Campaign, manager: LeaseManager, digest: str,
     resumed_from = _slot_cycle(spec)
     with Heartbeat(manager, digest, worker_id) as heartbeat:
         try:
-            runner._obtain_result(spec, None)
+            runner._obtain_result(spec, None, campaign.checkpoint_every)
         except Exception as err:  # noqa: BLE001 - journalled per job
             failure = JobFailure(
                 spec=spec, digest=digest, kind="error",
@@ -559,49 +548,9 @@ class LocalBackend:
             log.close()
 
 
-class RemoteSpawnUnsupported(CampaignError, NotImplementedError):
-    """Remote spawning is a stub; carries the exact per-host command.
-
-    Callers that want to degrade gracefully can catch this and print
-    :attr:`rendered` (already shell-quoted) for the operator to run by
-    hand on :attr:`host` — the lease/journal protocol needs nothing
-    beyond a shared cache directory.
-    """
-
-    def __init__(self, host: str, argv: List[str]) -> None:
-        self.host = host
-        self.argv = list(argv)
-        self.rendered = shlex.join(self.argv)
-        super().__init__(
-            "the remote backend is a stub; start this worker on "
-            f"{host} by hand:\n  {self.rendered}")
-
-
-class RemoteShellBackend:
-    """Multi-host stub: renders the command each host would run.
-
-    Remote execution is not wired up; workers on other machines must share
-    the cache directory (e.g. NFS) and can be started by hand with
-    :meth:`command_line` — the lease/journal protocol needs nothing else.
-    """
-
-    def __init__(self, host: str) -> None:
-        self.host = host
-
-    def command_line(self, campaign: Campaign, worker_id: str) -> List[str]:
-        return ["ssh", self.host] + worker_argv(campaign, worker_id,
-                                                python="python3")
-
-    def spawn(self, campaign: Campaign, worker_id: str,
-              chaos: Optional[str] = None) -> subprocess.Popen:
-        raise RemoteSpawnUnsupported(
-            self.host, self.command_line(campaign, worker_id))
-
-
 def worker_argv(campaign: Campaign, worker_id: str,
-                chaos: Optional[str] = None,
-                python: Optional[str] = None) -> List[str]:
-    argv = [python or sys.executable, "-m", "repro", "campaign", "work",
+                chaos: Optional[str] = None) -> List[str]:
+    argv = [sys.executable, "-m", "repro", "campaign", "work",
             "--dir", str(campaign.base), "--id", campaign.id,
             "--worker-id", worker_id]
     if chaos:

@@ -3,10 +3,9 @@
 A :class:`MatrixSpec` names the experiment design space — benchmarks ×
 models × scales × seeds × WIR-config sweeps — without running anything.
 ``expand()`` materializes the cartesian product into concrete
-:class:`~repro.harness.runner.RunSpec` jobs, and the matrix digest (over
-the canonical dict plus the campaign-relevant execution knobs) names the
-campaign itself: re-running ``repro campaign run`` with the same matrix
-resumes the same campaign instead of starting a second one.
+:class:`~repro.harness.runner.RunSpec` jobs, and the matrix digest names
+the campaign itself: re-running ``repro campaign run`` with the same
+matrix resumes the same campaign instead of starting a second one.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.harness.runner import EXPERIMENT_SMS, RunSpec
 
@@ -47,7 +46,7 @@ class MatrixSpec:
         return cls(tuple(benchmarks), tuple(models), tuple(scales),
                    tuple(seeds), num_sms, normalized)
 
-    def expand(self, checkpoint_every: Optional[int] = None) -> List[RunSpec]:
+    def expand(self) -> List[RunSpec]:
         """Materialize every job of the matrix, in deterministic order."""
         sweep_names = [name for name, _ in self.sweeps]
         sweep_values = [values for _, values in self.sweeps]
@@ -58,8 +57,7 @@ class MatrixSpec:
                 overrides = dict(zip(sweep_names, combo))
                 specs.append(RunSpec.make(
                     abbr, model, scale=scale, seed=seed,
-                    num_sms=self.num_sms, checkpoint_every=checkpoint_every,
-                    **overrides))
+                    num_sms=self.num_sms, **overrides))
         return specs
 
     def to_dict(self) -> Dict[str, object]:
@@ -85,9 +83,7 @@ class MatrixSpec:
                          for name, values in data.get("sweeps", [])),
         )
 
-    def campaign_id(self, checkpoint_every: Optional[int] = None) -> str:
+    def campaign_id(self) -> str:
         """Stable short identity of the campaign this matrix defines."""
-        payload = {"matrix": self.to_dict(),
-                   "checkpoint_every": checkpoint_every}
-        canonical = json.dumps(payload, sort_keys=True)
+        canonical = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(canonical.encode()).hexdigest()[:12]

@@ -29,7 +29,8 @@ Commands:
   leased, checkpoint-resuming workers; ``campaign status`` reports
   progress/failures of any campaign (running or dead), ``campaign
   resume`` restarts the worker fleet, ``campaign work`` is one worker
-  process (normally spawned by ``run``).
+  process (normally spawned by ``run``; start it on each host over a
+  shared cache dir to spread a campaign across machines).
 * ``serve --dir DIR``           — results-as-a-service: an asyncio HTTP API
   answering figure queries from the checksummed result cache (digest-derived
   ETags, 304 revalidation); misses become 202 + durable campaign jobs.
@@ -51,7 +52,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import shlex
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -541,7 +541,7 @@ def _finish_campaign(campaign, args) -> int:
 
 
 def _cmd_campaign_run(args) -> int:
-    from repro.campaign import (Campaign, RemoteShellBackend, run_campaign)
+    from repro.campaign import Campaign, run_campaign
 
     base = _campaign_base(args)
     if base is None:
@@ -552,15 +552,6 @@ def _cmd_campaign_run(args) -> int:
         ttl=args.ttl, max_attempts=args.max_attempts)
     print(f"campaign {campaign.id}: {len(campaign.jobs)} jobs under "
           f"{campaign.root}")
-    if args.hosts:
-        # Multi-host stub: the lease/journal protocol only needs a shared
-        # cache directory, so print the worker command for each host —
-        # shell-quoted, so a cache path with spaces survives copy-paste.
-        for index, host in enumerate(args.hosts.split(",")):
-            backend = RemoteShellBackend(host)
-            print(f"start on {host}: "
-                  + shlex.join(backend.command_line(campaign, f"r{index}")))
-        return 0
     report = run_campaign(campaign, workers=args.workers, chaos=args.chaos,
                           progress=print)
     print(f"converged: {report.done} done, {report.quarantined} "
@@ -804,10 +795,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="WIR config sweep axis (repeatable)")
     campaign_run.add_argument("--workers", type=int, default=2,
                               help="local worker processes (default 2)")
-    campaign_run.add_argument("--hosts", default=None, metavar="H1,H2",
-                              help="multi-host stub: print the worker "
-                                   "command per host (shared cache dir "
-                                   "required) instead of running locally")
     campaign_run.add_argument("--ttl", type=float, default=30.0,
                               help="lease lifetime in seconds (default 30)")
     campaign_run.add_argument("--max-attempts", type=int, default=3,

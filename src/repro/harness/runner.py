@@ -94,11 +94,6 @@ class RunSpec:
     checked: bool = False
     #: Collect per-cycle stall attribution (``sm*.stall.*``; ``repro.trace``).
     trace_stalls: bool = False
-    #: Snapshot simulator state every N cycles so a killed or timed-out job
-    #: resumes from its checkpoint on retry (``repro.ckpt``; needs an
-    #: on-disk cache dir).  ``None`` (default) leaves runs byte-identical
-    #: to pre-checkpoint behaviour.
-    checkpoint_every: Optional[int] = None
 
     @classmethod
     def make(
@@ -111,16 +106,14 @@ class RunSpec:
         profile: bool = False,
         checked: bool = False,
         trace_stalls: bool = False,
-        checkpoint_every: Optional[int] = None,
         **wir_overrides,
     ) -> "RunSpec":
         return cls(abbr, model, scale, seed, num_sms, profile,
                    tuple(sorted(wir_overrides.items())), checked=checked,
-                   trace_stalls=trace_stalls,
-                   checkpoint_every=checkpoint_every)
+                   trace_stalls=trace_stalls)
 
     def to_dict(self) -> Dict[str, object]:
-        data = {
+        return {
             "abbr": self.abbr,
             "model": self.model,
             "scale": self.scale,
@@ -134,17 +127,13 @@ class RunSpec:
             "checked": self.checked,
             "trace_stalls": self.trace_stalls,
         }
-        if self.checkpoint_every is not None:
-            # Omitted at the default so pre-existing cache digests (and
-            # payloads) remain valid.
-            data["checkpoint_every"] = self.checkpoint_every
-        return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "RunSpec":
-        # A stored ``exec_engine`` key (payloads, journals and campaign
-        # files written when the engine was part of the spec) is ignored:
-        # engines are bit-identical, so it never named a different run.
+        # Stored ``exec_engine`` and ``checkpoint_every`` keys (payloads,
+        # journals and campaign files written when they were part of the
+        # spec) are ignored: engines are bit-identical and cadence only
+        # decides how a run survives, so neither named a different run.
         return cls(
             abbr=data["abbr"],
             model=data["model"],
@@ -157,7 +146,6 @@ class RunSpec:
             ),
             checked=data.get("checked", False),
             trace_stalls=data.get("trace_stalls", False),
-            checkpoint_every=data.get("checkpoint_every"),
         )
 
     def digest(self, energy_params: Optional[EnergyParams] = None) -> str:
@@ -582,16 +570,24 @@ def _sweep_leases(root: Path, report: CacheReport, prune: bool,
 
 # ---------------------------------------------------------------- simulation
 
-def _simulate(spec: RunSpec) -> Tuple[RunResult, Optional[RedundancyProfile],
-                                      BuiltWorkload]:
-    """Run one simulation in this process (no caching)."""
+def _simulate(spec: RunSpec, checkpoint_every: Optional[int] = None
+              ) -> Tuple[RunResult, Optional[RedundancyProfile],
+                         BuiltWorkload]:
+    """Run one simulation in this process (no caching).
+
+    ``checkpoint_every`` snapshots the run every N cycles into its slot
+    next to the result cache, and resumes from a slot a killed attempt
+    left there.  It changes how the run survives, never what it computes,
+    so it is not part of *spec*.
+    """
+    if checkpoint_every is not None and checkpoint_every < 1:
+        raise ValueError("checkpoint_every must be at least 1 cycle")
     if _TEST_HOOK is not None:
         _TEST_HOOK(spec)
     COUNTS["simulations"] += 1
     config = model_config(spec.model, **dict(spec.wir_overrides))
     config.num_sms = spec.num_sms
     config.trace.stalls = spec.trace_stalls
-    config.checkpoint_every = spec.checkpoint_every
     workload = build_workload(spec.abbr, scale=spec.scale, seed=spec.seed)
 
     profilers: List[RedundancyProfiler] = []
@@ -611,10 +607,10 @@ def _simulate(spec: RunSpec) -> Tuple[RunResult, Optional[RedundancyProfile],
     else:
         gpu = GPU(config, profiler_factory=factory)
 
-    ckpt_path = (_ckpt_path(spec)
-                 if spec.checkpoint_every is not None else None)
+    ckpt_path = _ckpt_path(spec) if checkpoint_every is not None else None
     resume = None
     if ckpt_path is not None:
+        gpu.checkpoint_every = checkpoint_every
         gpu.checkpoint_path = ckpt_path
         gpu.checkpoint_meta_extra = {
             "workload": {"abbr": spec.abbr, "scale": spec.scale,
@@ -651,15 +647,17 @@ def _simulate(spec: RunSpec) -> Tuple[RunResult, Optional[RedundancyProfile],
     return result, merged, workload
 
 
-def _worker(spec_data: Dict[str, object]) -> Dict[str, object]:
+def _worker(spec_data: Dict[str, object],
+            checkpoint_every: Optional[int]) -> Dict[str, object]:
     """Pool worker: simulate one spec and return the serialized payload."""
     spec = RunSpec.from_dict(spec_data)
-    result, profile, _ = _simulate(spec)
+    result, profile, _ = _simulate(spec, checkpoint_every)
     return _payload_from(spec, result, profile)
 
 
 def _obtain_result(
-    spec: RunSpec, energy_params: Optional[EnergyParams]
+    spec: RunSpec, energy_params: Optional[EnergyParams],
+    checkpoint_every: Optional[int] = None,
 ) -> Tuple[RunResult, Optional[RedundancyProfile], Optional[BuiltWorkload]]:
     """Result memo -> disk cache -> fresh simulation, in that order."""
     cached = _RESULT_CACHE.get(spec)
@@ -678,7 +676,7 @@ def _obtain_result(
             if found is not None:
                 payload = found
             else:
-                result, profile, workload = _simulate(spec)
+                result, profile, workload = _simulate(spec, checkpoint_every)
                 _disk_store(spec, energy_params,
                             _payload_from(spec, result, profile))
                 entry = (result, profile, workload)
@@ -688,7 +686,7 @@ def _obtain_result(
         result, profile = _rehydrate(payload)
         entry = (result, profile, None)
     else:
-        result, profile, workload = _simulate(spec)
+        result, profile, workload = _simulate(spec, checkpoint_every)
         _disk_store(spec, energy_params, _payload_from(spec, result, profile))
         entry = (result, profile, workload)
     _RESULT_CACHE[spec] = entry
@@ -707,6 +705,7 @@ def run_benchmark(
     checked: bool = False,
     trace_stalls: bool = False,
     energy_params: Optional[EnergyParams] = None,
+    checkpoint_every: Optional[int] = None,
     **wir_overrides,
 ) -> BenchmarkRun:
     """Simulate one benchmark under one design point (memoised).
@@ -715,6 +714,8 @@ def run_benchmark(
     ``run_benchmark("SF", "RLPV", reuse_buffer_entries=512)``.
     ``checked=True`` referees the run against the lockstep golden model
     (raising :class:`repro.check.DivergenceError` on any disagreement).
+    ``checkpoint_every=N`` snapshots a simulated run every N cycles (needs
+    an on-disk cache dir); it is not part of the run's identity.
     """
     spec = RunSpec.make(abbr, model, scale=scale, seed=seed, num_sms=num_sms,
                         profile=profile, checked=checked,
@@ -724,7 +725,8 @@ def run_benchmark(
     if run is not None:
         return run
 
-    result, merged_profile, workload = _obtain_result(spec, energy_params)
+    result, merged_profile, workload = _obtain_result(spec, energy_params,
+                                                      checkpoint_every)
     if workload is None:
         # Rehydrated result: rebuild the (pre-run) workload so callers can
         # still reach the program and launch geometry.
@@ -772,13 +774,14 @@ def _serial_simulate(
     energy_params: Optional[EnergyParams],
     retries: int,
     backoff: float,
+    checkpoint_every: Optional[int],
 ) -> List[JobFailure]:
     """In-process fallback path (no per-job timeout is possible here)."""
     failures: List[JobFailure] = []
     for spec in missing:
         for attempt in range(retries + 1):
             try:
-                _obtain_result(spec, energy_params)
+                _obtain_result(spec, energy_params, checkpoint_every)
                 break
             except Exception as err:  # noqa: BLE001 - recorded per spec
                 if attempt < retries:
@@ -797,6 +800,7 @@ def _parallel_simulate(
     timeout: Optional[float],
     retries: int,
     backoff: float,
+    checkpoint_every: Optional[int],
 ) -> List[JobFailure]:
     """Simulate *missing* specs in worker waves with per-job deadlines.
 
@@ -818,7 +822,8 @@ def _parallel_simulate(
         retry: List[Tuple[RunSpec, int]] = []
         with context.Pool(processes=len(wave)) as pool:
             handles = [
-                (spec, attempt, pool.apply_async(_worker, (spec.to_dict(),)))
+                (spec, attempt, pool.apply_async(
+                    _worker, (spec.to_dict(), checkpoint_every)))
                 for spec, attempt in wave
             ]
             deadline = (time.monotonic() + timeout
@@ -862,6 +867,7 @@ def prefetch(
     backoff: float = 0.25,
     strict: bool = True,
     failures_out: Optional[List[JobFailure]] = None,
+    checkpoint_every: Optional[int] = None,
 ) -> int:
     """Ensure every spec's result is available, simulating missing ones with
     a worker pool.  Returns the number of simulations attempted.
@@ -875,7 +881,8 @@ def prefetch(
     ``retries`` re-runs a failed job that many extra times with
     exponential ``backoff``.  Failures are appended to ``failures_out``
     (when given) and raised as one :class:`SuiteError` unless
-    ``strict=False``.
+    ``strict=False``.  ``checkpoint_every`` is as for
+    :func:`run_benchmark`.
     """
     missing: List[RunSpec] = []
     seen = set()
@@ -894,10 +901,11 @@ def prefetch(
         return 0
 
     if jobs <= 1 or len(missing) == 1:
-        failures = _serial_simulate(missing, energy_params, retries, backoff)
+        failures = _serial_simulate(missing, energy_params, retries, backoff,
+                                    checkpoint_every)
     else:
         failures = _parallel_simulate(missing, energy_params, jobs, timeout,
-                                      retries, backoff)
+                                      retries, backoff, checkpoint_every)
     if failures_out is not None:
         failures_out.extend(failures)
     if failures and strict:

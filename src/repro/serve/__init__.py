@@ -4,7 +4,7 @@
 (DESIGN.md §15): figure-level queries are answered straight from the
 checksummed disk cache with digest-derived ETags, and misses become
 durable background jobs on the PR-7 campaign runner behind two stacked
-single-flight layers (in-process async + cross-worker leases).
+dedup layers (idempotent in-process submission + cross-worker leases).
 """
 
 from repro.serve.app import (DEFAULT_PORT, ResultService, build_router,
@@ -23,11 +23,10 @@ from repro.serve.query import (QueryError, QuerySpec, flat_specs,
 from repro.serve.resilience import (AdmissionGate, CircuitBreaker,
                                     ResilienceConfig, StaleDocCache,
                                     clamp_deadline)
-from repro.serve.singleflight import AsyncSingleFlight, FlightCancelled
 
 __all__ = [
-    "AccessLog", "AdmissionGate", "AsyncSingleFlight", "CircuitBreaker",
-    "DEFAULT_PORT", "FIGURES", "FigureDef", "FlightCancelled", "Job",
+    "AccessLog", "AdmissionGate", "CircuitBreaker",
+    "DEFAULT_PORT", "FIGURES", "FigureDef", "Job",
     "JobManager", "JobQueueFull", "LoadedRun", "QueryError", "QuerySpec",
     "Request", "ResilienceConfig", "Response", "ResultService", "Router",
     "SERVE_SCHEMA", "StaleDocCache", "build_router", "canonical_json",

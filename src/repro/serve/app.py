@@ -16,11 +16,11 @@ The cache-hit path never simulates: runs are answered via
 :func:`~repro.harness.runner.lookup_result` and figure documents are
 ETagged by their RunSpec digests (``If-None-Match`` revalidates to 304).
 A miss returns **202 Accepted** with a job handle after enqueueing the
-missing specs on the campaign runner — through the in-process
-:class:`~repro.serve.singleflight.AsyncSingleFlight`, so a storm of
-identical cold queries costs one enqueue, and under that the campaign
-workers' lease-based single-flight, so even many server replicas cost
-one simulation.
+missing specs on the campaign runner.  ``JobManager.submit`` runs
+synchronously on the event loop and converges identical spec sets on one
+ad-hoc campaign, so a storm of identical cold queries costs one job, and
+under that the campaign workers' lease-based single-flight makes even
+many server replicas cost one simulation.
 
 Every request additionally climbs the overload ladder (DESIGN.md §17):
 admission gate (503 + ``Retry-After`` past the high-water mark), a
@@ -53,7 +53,6 @@ from repro.serve.query import (MAX_SCALE, MAX_SMS, QueryError, QuerySpec,
 from repro.serve.resilience import (DEADLINE_HEADER, AdmissionGate,
                                     CircuitBreaker, ResilienceConfig,
                                     StaleDocCache, clamp_deadline)
-from repro.serve.singleflight import AsyncSingleFlight, FlightCancelled
 
 DEFAULT_PORT = 8753
 
@@ -84,7 +83,6 @@ class ResultService:
         self.jobs = JobManager(self.base,
                                max_pending=self.config.max_pending_jobs,
                                on_outcome=self._job_outcome)
-        self.flights = AsyncSingleFlight()
         self.access_log = AccessLog(access_log)
         self.worker = worker
         #: Flipped false the instant shutdown begins; /v1/readyz reads it.
@@ -218,7 +216,7 @@ class ResultService:
                                     canonical_json(doc).encode())
         if not self.breaker.allow():
             return self.degrade(request, key)
-        return await self.accept(missing)
+        return self.accept(missing)
 
     def degrade(self, request: Request, key: str) -> Response:
         """Breaker open: a stale-marked cached document, or a 503."""
@@ -241,22 +239,13 @@ class ResultService:
         response.outcome = "stale"
         return response
 
-    async def accept(self, missing: List[RunSpec]) -> Response:
-        """202: enqueue *missing* (once, however many callers race here)."""
+    def accept(self, missing: List[RunSpec]) -> Response:
+        """202: enqueue *missing* (once, however many callers race here:
+        ``submit`` is idempotent per spec set and never yields the loop)."""
         self.counts["misses"] += 1
         digests = sorted(spec.digest() for spec in missing)
-        key = "+".join(digests)
-
-        async def submit():
-            # Yield once before touching storage: every request already
-            # parked at this flight's key in the current scheduler tick
-            # joins the leader instead of re-running the (idempotent)
-            # submission after it resolves.
-            await asyncio.sleep(0)
-            return self.jobs.submit(missing)
-
         try:
-            job = await self.flights.run(key, submit)
+            job = self.jobs.submit(missing)
         except JobQueueFull as err:
             # Bounded backlog: acknowledge the work exists but enqueue
             # nothing — the client's retry re-submits the identical set.
@@ -267,15 +256,6 @@ class ResultService:
             }, headers=[("Retry-After",
                          _retry_after(self.config.deferred_retry_after))])
             response.outcome = "deferred"
-            return response
-        except FlightCancelled:
-            # The enqueue leader hit its deadline mid-submit; joiners get
-            # a clean retry signal instead of a 500.
-            response = error_response(
-                503, "enqueue-cancelled",
-                "the request leading this enqueue was cancelled; retry")
-            response.headers.append(("Retry-After", "1"))
-            response.outcome = "breaker"
             return response
         return Response.json(202, {
             "status": "pending",
@@ -327,8 +307,6 @@ async def handle_health(service: ResultService, request: Request) -> Response:
         "statuses": {str(status): count for status, count
                      in sorted(service.access_log.status_counts.items())},
         "outcomes": dict(service.access_log.outcome_counts),
-        "flights": {"open": len(service.flights),
-                    **service.flights.counts},
         "jobs": {"known": len(service.jobs),
                  "worker_alive": service.jobs.worker_alive,
                  **service.jobs.counts},

@@ -2,14 +2,14 @@
 
 A query that cannot be answered from the disk cache is turned into an
 *ad-hoc* campaign (:meth:`Campaign.create_from_specs` — the missing
-RunSpecs verbatim, no matrix, no checkpoint stamping) and handed to a
+RunSpecs, no matrix, no checkpoint cadence) and handed to a
 single daemon worker thread that drains campaigns one at a time through
 :func:`~repro.campaign.engine.run_worker`.  That reuses the whole PR-7
 fault-tolerance stack for free: leases, the append-only journal,
 quarantine for poison specs, and — critically — the cross-worker
 lease-based ``SingleFlight`` guard ``run_worker`` installs, which is the
-second dedup layer under the serve API (the in-process
-:class:`~repro.serve.singleflight.AsyncSingleFlight` being the first).
+second dedup layer under the serve API (:meth:`JobManager.submit`'s
+idempotency being the first).
 
 Job identity is the ad-hoc campaign id, itself derived from the sorted
 spec digests: submitting the same missing set twice — from this process,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Optional
 
 
 class SchedulerPolicy(Enum):
@@ -169,12 +168,6 @@ class GPUConfig:
     # --- limits ---
     max_cycles: int = 5_000_000
 
-    # --- checkpointing (host robustness, not modelled hardware) ---
-    #: Snapshot the full simulator state every N cycles so a killed or
-    #: timed-out run can resume bit-identically (DESIGN.md §12).  ``None``
-    #: disables checkpointing entirely (the default; runs are unchanged).
-    checkpoint_every: Optional[int] = None
-
     # --- host execution strategy (simulation speed, not modelled hardware) ---
     #: "fast" (the default) runs per-instruction compiled numpy kernels, the
     #: fused issue loop, and trace-compiled straight-line superblocks;
@@ -218,8 +211,6 @@ class GPUConfig:
             raise ValueError("trace ring capacity must be at least 1")
         if self.trace.sample_period < 0 or self.trace.sample_window < 0:
             raise ValueError("trace sampling parameters must be non-negative")
-        if self.checkpoint_every is not None and self.checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be at least 1 cycle")
         if self.exec_engine not in ("scalar", "fast"):
             raise ValueError(
                 f"unknown exec engine {self.exec_engine!r}; "

@@ -246,8 +246,14 @@ class GPU:
         #: Optional :class:`repro.check.oracle.LockstepChecker`; set by
         #: :class:`repro.check.oracle.CheckedGPU` before :meth:`run`.
         self._checker = None
-        #: Where periodic checkpoints go when ``config.checkpoint_every``
-        #: is set (the harness points this next to the run cache).
+        #: Snapshot the full simulator state every N cycles into
+        #: :attr:`checkpoint_path` so a killed or timed-out run can resume
+        #: bit-identically (DESIGN.md §12).  Host robustness, not modelled
+        #: hardware, so it lives here rather than in the config: a result
+        #: never depends on it.  ``None`` (the default) never snapshots.
+        self.checkpoint_every: Optional[int] = None
+        #: Where periodic checkpoints go (the harness points this next to
+        #: the run cache).
         self.checkpoint_path: Optional[Path] = None
         #: Extra identity merged into every checkpoint's meta block (the
         #: harness and CLI record the workload spec here so a checkpoint
@@ -330,7 +336,7 @@ class GPU:
                         FaultInjector(self._fault_plan, salt=sm.sm_id))
 
         ckpt_path = self.checkpoint_path
-        every = config.checkpoint_every
+        every = self.checkpoint_every
         if every is not None and ckpt_path is not None:
             self._check_resumable("checkpoint")
         if resume is not None or stop_cycle is not None:

@@ -375,13 +375,12 @@ class TestMatrixSpec:
     def test_expand_is_the_cartesian_product(self):
         matrix = MatrixSpec.make(["KM", "GA"], models=("Base", "RLPV"),
                                  scales=(1, 2), seeds=(7,), num_sms=1)
-        specs = matrix.expand(checkpoint_every=400)
+        specs = matrix.expand()
         assert len(specs) == 8
         assert len({spec.digest() for spec in specs}) == 8
-        assert all(spec.checkpoint_every == 400 for spec in specs)
         # Deterministic order: the job graph is stable across rebuilds.
         assert [spec.digest() for spec in specs] == [
-            spec.digest() for spec in matrix.expand(checkpoint_every=400)]
+            spec.digest() for spec in matrix.expand()]
 
     def test_sweeps_multiply_the_design_space(self):
         matrix = MatrixSpec.make(["KM"], num_sms=1,
@@ -409,10 +408,10 @@ class TestMatrixSpec:
 
     def test_campaign_id_tracks_the_design(self):
         matrix = MatrixSpec.make(["KM"])
-        base = matrix.campaign_id(400)
-        assert base == matrix.campaign_id(400)  # stable
-        assert base != matrix.campaign_id(800)  # cadence is part of identity
-        assert base != MatrixSpec.make(["GA"]).campaign_id(400)
+        base = matrix.campaign_id()
+        assert base == MatrixSpec.make(["KM"]).campaign_id()  # stable
+        assert base != MatrixSpec.make(["GA"]).campaign_id()
+        assert base != MatrixSpec.make(["KM"], seeds=(11,)).campaign_id()
 
 
 # -------------------------------------------------------------- journal fold
@@ -445,13 +444,20 @@ class TestCampaignEndToEnd:
         matrix = MatrixSpec.make(["GA"], **SMALL)
         first = Campaign.create(matrix, base=tmp_path, checkpoint_every=400,
                                 ttl=5.0, max_attempts=2)
-        again = Campaign.create(matrix, base=tmp_path, checkpoint_every=400,
+        again = Campaign.create(matrix, base=tmp_path, checkpoint_every=800,
                                 ttl=99.0, max_attempts=7)
-        assert again.id == first.id
-        assert (again.ttl, again.max_attempts) == (5.0, 2)
+        assert again.id == first.id  # cadence is not part of the id
+        assert (again.checkpoint_every, again.ttl,
+                again.max_attempts) == (400, 5.0, 2)
         assert list_campaigns(tmp_path) == [first.id]
         with pytest.raises(CampaignError, match="no campaign"):
             Campaign.open("feedfeedfeed", base=tmp_path)
+
+    def test_bad_cadence_is_refused_before_the_manifest(self, tmp_path):
+        with pytest.raises(CampaignError, match="at least 1 cycle"):
+            Campaign.create(MatrixSpec.make(["GA"], **SMALL), base=tmp_path,
+                            checkpoint_every=0)
+        assert list_campaigns(tmp_path) == []
 
     def test_worker_drains_the_campaign_bit_identically(self, tmp_path):
         set_cache_dir(tmp_path)
@@ -474,10 +480,35 @@ class TestCampaignEndToEnd:
         # The campaign's published result is the plain harness result.
         clear_cache()
         set_cache_dir(None)
-        clean = run_benchmark("GA", "Base", scale=1, num_sms=1,
-                              checkpoint_every=400)
+        clean = run_benchmark("GA", "Base", scale=1, num_sms=1)
         assert results[digest].to_json() == clean.result.to_json()
         assert merged == clean.result.stats
+
+    def test_campaign_results_warm_the_harness_cache(self, tmp_path):
+        """A campaign publishes under the digests figures, ``repro query``
+        and ``repro serve`` look up, whatever its checkpoint cadence."""
+        set_cache_dir(tmp_path)
+        matrix = MatrixSpec.make(["GA"], models=("Base", "RLPV"))
+        campaign = Campaign.create(matrix)
+        assert campaign.checkpoint_every == 2000
+        assert run_worker(campaign, "w0").completed == 2
+        clear_cache()  # only the disk cache may answer now
+        simulations = runner.COUNTS["simulations"]
+        for model in ("Base", "RLPV"):
+            run_benchmark("GA", model)
+        assert runner.COUNTS["simulations"] == simulations
+
+    def test_old_manifest_version_is_refused(self, tmp_path):
+        """Version-1 manifests name jobs by cadence-bearing digests; they
+        must fail loudly instead of publishing under the wrong address."""
+        campaign = Campaign.create(MatrixSpec.make(["GA"], **SMALL),
+                                   base=tmp_path)
+        manifest_path = campaign.root / "campaign.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["version"] = 1
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(CampaignError, match="manifest version 1"):
+            Campaign.open(campaign.id, base=tmp_path)
 
     def test_failures_persist_beyond_the_observing_process(self, tmp_path):
         """Satellite: quarantine + durable failure history.  The second
@@ -622,11 +653,11 @@ class TestAdHocCampaigns:
         campaign = Campaign.create_from_specs(specs, base=tmp_path)
         assert campaign.id.startswith("adhoc-")
         assert sorted(campaign.jobs) == sorted(s.digest() for s in specs)
-        # No checkpoint cadence is stamped on: the enqueued spec must land
-        # in the same cache slot the enqueuing query will look up.
+        # Ad-hoc jobs run without checkpoints, and each enqueued spec
+        # lands in the cache slot the enqueuing query will look up.
         assert campaign.checkpoint_every is None
         for digest, spec in campaign.jobs.items():
-            assert spec.checkpoint_every is None
+            assert spec in specs
             assert spec.digest() == digest
 
     def test_create_from_specs_is_idempotent_and_order_blind(self, tmp_path):
@@ -717,49 +748,3 @@ class TestLostLeaseAbandon:
         # The simulation itself was not wasted: the content-addressed
         # publish is idempotent, so the reclaimer's next lookup hits.
         assert campaign.result_path(digest).exists()
-
-
-# ---------------------------------------------------- remote backend (stub)
-
-class TestRemoteShellBackend:
-    def test_spawn_raises_structured_not_implemented(self, tmp_path):
-        import shlex
-        from repro.campaign import RemoteShellBackend, RemoteSpawnUnsupported
-
-        campaign = Campaign.create(
-            MatrixSpec.make(["GA"], **SMALL), base=tmp_path)
-        backend = RemoteShellBackend("gpu-host-3")
-        with pytest.raises(RemoteSpawnUnsupported) as err:
-            backend.spawn(campaign, "r0")
-        # Structured: both a CampaignError and a NotImplementedError,
-        # carrying the exact per-host command it would have run.
-        assert isinstance(err.value, CampaignError)
-        assert isinstance(err.value, NotImplementedError)
-        assert err.value.host == "gpu-host-3"
-        assert err.value.argv[:2] == ["ssh", "gpu-host-3"]
-        assert err.value.argv == backend.command_line(campaign, "r0")
-        # The rendered form is shell-parseable back to the same argv.
-        assert shlex.split(err.value.rendered) == err.value.argv
-        assert err.value.rendered in str(err.value)
-
-    def test_hosts_cli_output_is_shell_parseable(self, tmp_path, capsys):
-        """`campaign run --hosts` must print commands a shell can take
-        verbatim — including when the shared cache path contains
-        spaces."""
-        import shlex
-        from repro.cli import main
-
-        base = tmp_path / "shared cache dir"
-        code = main(["campaign", "run", "--dir", str(base),
-                     "--benchmarks", "GA", "--models", "Base",
-                     "--scales", "1", "--sms", "1",
-                     "--hosts", "alpha,beta"])
-        assert code == 0
-        lines = [line for line in capsys.readouterr().out.splitlines()
-                 if line.startswith("start on ")]
-        assert len(lines) == 2
-        for line, host in zip(lines, ("alpha", "beta")):
-            argv = shlex.split(line.split(": ", 1)[1])
-            assert argv[:2] == ["ssh", host]
-            # The spaced path survives as ONE argument.
-            assert str(base) in argv

@@ -236,19 +236,20 @@ class TestContainer:
 # ------------------------------------------------------- harness integration
 
 class TestHarnessResume:
-    SPEC_KW = dict(scale=2, checkpoint_every=EVERY)
+    SPEC_KW = dict(scale=2)
 
     def _baseline(self, tmp_path):
         set_cache_dir(tmp_path)
-        run = run_benchmark("KM", "RLPV", **self.SPEC_KW)
+        run = run_benchmark("KM", "RLPV", checkpoint_every=EVERY,
+                            **self.SPEC_KW)
         assert not list(Path(tmp_path).rglob("*.ckpt.json"))
         return run.result.to_json()
 
     def _plant_checkpoint(self, spec, cut):
-        """What a killed worker leaves behind: a valid mid-run checkpoint."""
+        """What a killed worker leaves behind: a valid mid-run checkpoint.
+        The cadence that wrote it is not part of its identity."""
         config = model_config(spec.model)
         config.num_sms = spec.num_sms
-        config.checkpoint_every = spec.checkpoint_every
         workload = build_workload(spec.abbr, scale=spec.scale, seed=spec.seed)
         launch = KernelLaunch(workload.program, workload.grid, workload.block,
                               workload.image)
@@ -274,7 +275,8 @@ class TestHarnessResume:
         path = self._plant_checkpoint(spec, 1500)
         self._drop_results(tmp_path)
 
-        run = run_benchmark("KM", "RLPV", **self.SPEC_KW)
+        run = run_benchmark("KM", "RLPV", checkpoint_every=EVERY,
+                            **self.SPEC_KW)
         assert run.result.to_json() == base_json
         assert not path.exists()  # consumed and cleaned on success
 
@@ -283,13 +285,13 @@ class TestHarnessResume:
         spec = RunSpec.make("KM", "RLPV", **self.SPEC_KW)
         # A checkpoint from a *different* run parked in this spec's slot
         # (e.g. after a config change): meta mismatch, full restart.
-        other = RunSpec.make("KM", "RLPV", scale=2, seed=11,
-                             checkpoint_every=EVERY)
+        other = RunSpec.make("KM", "RLPV", scale=2, seed=11)
         state_path = self._plant_checkpoint(other, 1500)
         os.replace(state_path, runner._ckpt_path(spec))
         self._drop_results(tmp_path)
 
-        run = run_benchmark("KM", "RLPV", **self.SPEC_KW)
+        run = run_benchmark("KM", "RLPV", checkpoint_every=EVERY,
+                            **self.SPEC_KW)
         assert run.result.to_json() == base_json
 
     def test_corrupt_checkpoint_restarts_cleanly(self, tmp_path):
@@ -300,7 +302,8 @@ class TestHarnessResume:
         path.write_text("{definitely not a checkpoint")
         self._drop_results(tmp_path)
 
-        run = run_benchmark("KM", "RLPV", **self.SPEC_KW)
+        run = run_benchmark("KM", "RLPV", checkpoint_every=EVERY,
+                            **self.SPEC_KW)
         assert run.result.to_json() == base_json
         assert not path.exists()
 
@@ -308,8 +311,31 @@ class TestHarnessResume:
         base_json = self._baseline(tmp_path)
         set_cache_dir(None)
         clear_cache()
-        run = run_benchmark("KM", "RLPV", **self.SPEC_KW)
+        run = run_benchmark("KM", "RLPV", checkpoint_every=EVERY,
+                            **self.SPEC_KW)
         assert run.result.to_json() == base_json
+
+
+class TestCadenceIsNotIdentity:
+    @pytest.mark.parametrize("abbr", ["KM", "BF"])
+    @pytest.mark.parametrize("model", ["Base", "RLPV", "Affine+RLPV"])
+    def test_cadence_armed_run_equals_plain_run(self, tmp_path, monkeypatch,
+                                                abbr, model):
+        """Checkpointing changes how a run survives, never what it
+        computes: the fast engine's result is byte-identical with the
+        cadence armed (and snapshots really written) and without it."""
+        set_cache_dir(tmp_path)
+        writes = []
+        monkeypatch.setattr(snapshot, "_TEST_HOOK",
+                            lambda cycle, _path: writes.append(cycle))
+        spec = RunSpec.make(abbr, model)
+        armed, _, _ = runner._simulate(spec, checkpoint_every=EVERY)
+        assert writes and writes[0] >= EVERY
+        del writes[:]
+        plain, _, _ = runner._simulate(spec)
+        assert writes == []
+        assert armed.config.exec_engine == "fast"
+        assert armed.to_json() == plain.to_json()
 
 
 class TestTimeoutRetry:
@@ -326,18 +352,19 @@ class TestTimeoutRetry:
         # from that checkpoint and writes at >= 2*EVERY, never hanging.
         fired = tmp_path / "hook-fired"
 
-        def hang_at_first_checkpoint(cycle, _path):
-            if cycle < 2 * EVERY:
+        def hang_at_first_checkpoint(cycle, path):
+            if cycle < 2 * EVERY and path == runner._ckpt_path(flaky):
                 fired.write_text(str(cycle))
                 time.sleep(300)
 
         monkeypatch.setattr(snapshot, "_TEST_HOOK", hang_at_first_checkpoint)
-        flaky = RunSpec.make("KM", "RLPV", scale=2, checkpoint_every=EVERY)
+        flaky = RunSpec.make("KM", "RLPV", scale=2)
         sibling = RunSpec.make("GA", "Base", num_sms=1)
 
         failures = []
         prefetch([flaky, sibling], jobs=2, timeout=TIMEOUT, retries=1,
-                 backoff=0.0, strict=False, failures_out=failures)
+                 backoff=0.0, strict=False, failures_out=failures,
+                 checkpoint_every=EVERY)
         assert failures == []
         assert fired.exists()  # the first attempt really did hang
 
@@ -352,7 +379,7 @@ class TestTimeoutRetry:
         monkeypatch.setattr(snapshot, "_TEST_HOOK", None)
         clear_cache()
         set_cache_dir(None)
-        clean = run_benchmark("KM", "RLPV", scale=2, checkpoint_every=EVERY)
+        clean = run_benchmark("KM", "RLPV", scale=2)
         assert resumed_json == clean.result.to_json()
 
 
@@ -366,17 +393,17 @@ class TestChaos:
         # Kill on any first-cadence write (see TestTimeoutRetry for why the
         # window, not the exact cadence cycle): a fresh run always dies; a
         # resumed one writes at >= 2*EVERY and lives.
-        def kill_at_first_checkpoint(cycle, _path):
-            if cycle < 2 * EVERY:
+        def kill_at_first_checkpoint(cycle, path):
+            if cycle < 2 * EVERY and path == runner._ckpt_path(flaky):
                 os.kill(os.getpid(), signal.SIGKILL)
 
         monkeypatch.setattr(snapshot, "_TEST_HOOK", kill_at_first_checkpoint)
-        flaky = RunSpec.make("KM", "RLPV", scale=2, checkpoint_every=EVERY)
+        flaky = RunSpec.make("KM", "RLPV", scale=2)
         sibling = RunSpec.make("GA", "Base", num_sms=1)
 
         failures = []
         prefetch([flaky, sibling], jobs=2, timeout=TIMEOUT, retries=0,
-                 strict=False, failures_out=failures)
+                 strict=False, failures_out=failures, checkpoint_every=EVERY)
         assert [(f.spec, f.kind) for f in failures] == [(flaky, "timeout")]
         assert sibling in runner._RESULT_CACHE  # sibling survived the kill
 
@@ -395,7 +422,7 @@ class TestChaos:
                             lambda cycle, _path: writes.append(cycle))
         failures = []
         prefetch([flaky, sibling], jobs=2, timeout=TIMEOUT, retries=0,
-                 strict=False, failures_out=failures)
+                 strict=False, failures_out=failures, checkpoint_every=EVERY)
         assert failures == []
         assert writes and writes[0] >= 2 * EVERY
         assert not ckpt_path.exists()
@@ -404,7 +431,7 @@ class TestChaos:
         monkeypatch.setattr(snapshot, "_TEST_HOOK", None)
         clear_cache()
         set_cache_dir(None)
-        clean = run_benchmark("KM", "RLPV", scale=2, checkpoint_every=EVERY)
+        clean = run_benchmark("KM", "RLPV", scale=2)
         assert resumed_json == clean.result.to_json()
 
 

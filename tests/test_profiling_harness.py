@@ -212,6 +212,16 @@ class TestRunner:
             assert RunSpec.from_dict(data) == spec
         assert "exec_engine" not in spec.to_dict()
 
+    def test_stored_cadence_key_is_ignored(self):
+        """Payloads, journals and campaign files written while the
+        checkpoint cadence was part of the spec still load, as the
+        cadence-free spec with the same digest."""
+        spec = RunSpec.make("KM", "RLPV")
+        data = dict(spec.to_dict(), checkpoint_every=2000)
+        assert RunSpec.from_dict(data) == spec
+        assert RunSpec.from_dict(data).digest() == spec.digest()
+        assert "checkpoint_every" not in spec.to_dict()
+
 
 class TestExperiments:
     """Each driver on a 2-benchmark subset: structure + sanity, not values."""

@@ -4,11 +4,11 @@ The headline invariant: **N ≥ 50 concurrent identical cold queries cost
 exactly one campaign job and exactly one simulation.**  Figure 2 needs a
 single PROFILE run, so "exactly one" is literal: one ad-hoc campaign
 directory, one job digest inside it, ``COUNTS["simulations"] == 1`` after
-the drain.  Dedup is layered — the in-process async single-flight
-coalesces racing submissions, the JobManager converges identical spec
-sets on one durable campaign, and the campaign worker's lease-based
-single-flight would keep even multiple *processes* from re-simulating —
-and the storm here exercises all of them through real sockets.
+the drain.  Dedup is layered — the JobManager's synchronous, idempotent
+submit converges racing identical spec sets on one durable campaign, and
+the campaign worker's lease-based single-flight would keep even multiple
+*processes* from re-simulating — and the storm here exercises both
+through real sockets.
 """
 
 import asyncio
@@ -76,8 +76,8 @@ class TestColdStorm:
         assert set(doc["data"]) == {"repeated", "repeated_gt10"}
 
     def test_storm_coalesces_in_process(self, tmp_path):
-        """The async single-flight layer observably coalesces the storm:
-        far fewer flight leaders than requests."""
+        """JobManager.submit observably coalesces the storm: the first
+        miss materializes the job, every later one finds it."""
         async def main():
             async with serving(tmp_path, worker=False) as (service, port):
                 await asyncio.gather(
@@ -85,13 +85,9 @@ class TestColdStorm:
                 return service
 
         service = asyncio.run(main())
-        flights = service.flights.counts
-        assert flights["leaders"] + flights["joins"] == STORM
-        assert flights["leaders"] < STORM  # joins happened
-        # However the flights sliced the storm, storage converged:
         assert service.jobs.counts["submitted"] == 1
-        assert service.jobs.counts["resubmitted"] \
-            == STORM - flights["joins"] - 1
+        assert service.jobs.counts["resubmitted"] == STORM - 1
+        assert len(list((tmp_path / "campaign").iterdir())) == 1
 
 
 class TestInterleavedStorm:

@@ -281,7 +281,8 @@ class TestMisses:
         assert again[0] == 202 and again[2]["job"] == doc["job"]
         assert service.jobs.counts["submitted"] == 1
 
-        # The job is a real campaign directory with the specs verbatim.
+        # The job is a real campaign directory, run without checkpoints,
+        # whose jobs are the missing digests themselves.
         manifest = json.loads(
             (tmp_path / "campaign" / doc["job"] / "campaign.json")
             .read_text())
@@ -291,7 +292,7 @@ class TestMisses:
             == doc["missing"]
         for entry in manifest["jobs"]:
             spec = RunSpec.from_dict(entry["spec"])
-            assert spec.checkpoint_every is None  # digest-preserving
+            assert spec.to_dict() == entry["spec"]  # digest-preserving
             assert spec.digest() == entry["digest"]
 
         assert job[0] == 200
