@@ -16,8 +16,7 @@ from repro.campaign.engine import (Campaign, CampaignError,
                                    run_worker, worker_main)
 from repro.campaign.journal import (JournalReadResult, append_record,
                                     read_journal)
-from repro.campaign.lease import (Heartbeat, Lease, LeaseManager,
-                                  SingleFlight)
+from repro.campaign.lease import Heartbeat, Lease, LeaseManager
 from repro.campaign.spec import MatrixSpec
 from repro.campaign.status import (CampaignStatus, JobStatus,
                                    aggregate_results, campaign_status,
@@ -26,8 +25,7 @@ from repro.campaign.status import (CampaignStatus, JobStatus,
 __all__ = [
     "Campaign", "CampaignError", "CampaignRunReport", "CampaignStatus",
     "Heartbeat", "JobStatus", "JournalReadResult", "Lease", "LeaseManager",
-    "LocalBackend", "MatrixSpec", "SingleFlight",
-    "aggregate_results", "append_record",
+    "LocalBackend", "MatrixSpec", "aggregate_results", "append_record",
     "campaign_complete", "campaign_status", "fold_journal", "job_state",
     "list_campaigns", "read_journal", "render_status", "run_campaign",
     "run_worker", "worker_main",

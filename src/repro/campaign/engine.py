@@ -48,8 +48,7 @@ import repro.harness.runner as runner
 from repro.ckpt import CheckpointError, atomic_write_text, read_checkpoint
 from repro.campaign.journal import (MAX_ERROR_CHARS, append_record,
                                     read_journal)
-from repro.campaign.lease import (DEFAULT_TTL, Heartbeat, LeaseManager,
-                                  SingleFlight)
+from repro.campaign.lease import DEFAULT_TTL, Heartbeat, LeaseManager
 from repro.campaign.spec import MatrixSpec
 from repro.harness.runner import JobFailure, RunSpec
 
@@ -351,9 +350,8 @@ def run_worker(campaign: Campaign, worker_id: str,
     """Claim-and-run jobs until every campaign job is done or quarantined.
 
     Runs in-process (tests call it directly); ``repro campaign work``
-    wraps it for the subprocess backend.  The worker installs the
-    single-flight lease guard so *any* simulation it performs — including
-    nested ``run_benchmark`` calls — dedups against other live workers.
+    wraps it for the subprocess backend.  Each simulation runs under the
+    job's lease, so the scheduler's claim is the only cross-worker dedup.
 
     *should_stop*, checked between jobs, lets an embedding process (the
     serve JobManager draining on SIGTERM) wind the worker down at a job
@@ -361,27 +359,22 @@ def run_worker(campaign: Campaign, worker_id: str,
     or pending in the durable campaign and any process can resume them.
     """
     manager = campaign.lease_manager()
-    guard = SingleFlight(manager, worker_id)
     summary = WorkerSummary(worker_id)
-    runner.set_job_guard(guard)
-    try:
-        while True:
-            if should_stop is not None and should_stop():
-                return summary
-            logs = fold_journal(read_journal(campaign.journal_path).records)
-            live = {lease.job for lease in manager.live()}
-            states = {digest: job_state(logs.get(digest), digest in live)
-                      for digest in campaign.jobs}
-            if all(state in ("done", "quarantined")
-                   for state in states.values()):
-                return summary
-            if not _claim_and_run(campaign, manager, logs, states, worker_id,
-                                  backoff, summary, progress):
-                # Everything unfinished is held by live siblings: wait for
-                # a completion or an expiry worth reclaiming.
-                time.sleep(poll)
-    finally:
-        runner.set_job_guard(None)
+    while True:
+        if should_stop is not None and should_stop():
+            return summary
+        logs = fold_journal(read_journal(campaign.journal_path).records)
+        live = {lease.job for lease in manager.live()}
+        states = {digest: job_state(logs.get(digest), digest in live)
+                  for digest in campaign.jobs}
+        if all(state in ("done", "quarantined")
+               for state in states.values()):
+            return summary
+        if not _claim_and_run(campaign, manager, logs, states, worker_id,
+                              backoff, summary, progress):
+            # Everything unfinished is held by live siblings: wait for
+            # a completion or an expiry worth reclaiming.
+            time.sleep(poll)
 
 
 def _claim_and_run(campaign: Campaign, manager: LeaseManager,
@@ -432,7 +425,7 @@ def _execute_job(campaign: Campaign, manager: LeaseManager, digest: str,
     resumed_from = _slot_cycle(spec)
     with Heartbeat(manager, digest, worker_id) as heartbeat:
         try:
-            runner._obtain_result(spec, None, campaign.checkpoint_every)
+            runner._obtain_result(spec, campaign.checkpoint_every)
         except Exception as err:  # noqa: BLE001 - journalled per job
             failure = JobFailure(
                 spec=spec, digest=digest, kind="error",

@@ -18,11 +18,6 @@ renewal discovers the lease was lost (expired and reclaimed during a long
 stall) abandons ownership — its in-flight result commit stays safe because
 the result cache is content-addressed and written atomically, so duplicate
 completions are idempotent.
-
-``SingleFlight`` adapts the lease protocol into the guard the harness
-consumes (``repro.harness.runner.set_job_guard``): concurrently-missing
-results are simulated by exactly one live worker while the others wait on
-the winner's disk-cache publish.
 """
 
 from __future__ import annotations
@@ -32,7 +27,6 @@ import json
 import os
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, List, Optional
@@ -228,60 +222,3 @@ class Heartbeat:
         self._stop.set()
         self._thread.join(timeout=5.0)
 
-
-class SingleFlight:
-    """Harness-facing guard: one simulation per digest across workers.
-
-    Installed by campaign workers via
-    :func:`repro.harness.runner.set_job_guard`.  The harness calls
-    :meth:`flight` before simulating a disk-cache miss; the winner holds
-    the job's lease for the duration and the losers poll the disk cache
-    until the winner publishes (or dies, at which point a loser takes
-    over).  Re-entrant over jobs the worker already claimed through the
-    campaign scheduler: those fly immediately and stay leased afterwards.
-    """
-
-    def __init__(self, manager: LeaseManager, owner: str,
-                 poll: float = 0.05,
-                 sleep: Callable[[float], None] = time.sleep) -> None:
-        self.manager = manager
-        self.owner = owner
-        self.poll = poll
-        self.sleep = sleep
-
-    @contextmanager
-    def flight(self, job: str, reload: Callable[[], Optional[dict]]):
-        """Yield another worker's payload, or ``None`` with the lease held.
-
-        ``reload`` re-checks the disk cache; it is only called while some
-        other live worker holds the lease.
-        """
-        acquired = False
-        payload = None
-        while True:
-            if job in self.manager.owned:
-                break
-            lease = self.manager.claim(job, self.owner, attempt=1)
-            if lease is not None:
-                acquired = True
-                break
-            payload = self._await_holder(job, reload)
-            if payload is not None:
-                break
-            # The holder died without publishing; loop back and reclaim.
-        try:
-            yield payload
-        finally:
-            if acquired:
-                self.manager.release(job, self.owner)
-
-    def _await_holder(self, job: str,
-                      reload: Callable[[], Optional[dict]]) -> Optional[dict]:
-        while True:
-            payload = reload()
-            if payload is not None:
-                return payload
-            current = self.manager.read(job)
-            if current is None or current.expires <= self.manager.clock():
-                return None
-            self.sleep(self.poll)

@@ -51,6 +51,7 @@ invocations (see :mod:`repro.harness.runner`).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -343,7 +344,8 @@ def _cmd_cache_verify(args) -> int:
         return 2
     report = verify_cache_dir(base, prune=args.prune)
     print(f"{base}: {report.total} entries — {report.ok} ok, "
-          f"{report.corrupt} corrupt, {report.version_mismatch} "
+          f"{report.corrupt} corrupt, {report.unaddressable} "
+          f"unaddressable, {report.version_mismatch} "
           f"older-format, {report.tmp_orphans} orphaned temp file"
           + ("" if report.tmp_orphans == 1 else "s"))
     if report.ckpt_orphans or report.lease_expired:
@@ -361,6 +363,9 @@ def _cmd_cache_verify(args) -> int:
     if args.prune and report.pruned:
         print(f"pruned {report.pruned} corrupt entr"
               + ("y" if report.pruned == 1 else "ies"))
+    if args.prune and report.unaddressable_pruned:
+        print(f"pruned {report.unaddressable_pruned} unaddressable entr"
+              + ("y" if report.unaddressable_pruned == 1 else "ies"))
     if args.prune and report.tmp_pruned:
         print(f"swept {report.tmp_pruned} orphaned temp file"
               + ("" if report.tmp_pruned == 1 else "s"))
@@ -540,6 +545,21 @@ def _finish_campaign(campaign, args) -> int:
         else 1
 
 
+def _campaign_errors_as_exit_2(cmd):
+    """Report a :class:`CampaignError` (unknown id, incompatible manifest,
+    bad cadence) as one stderr line and exit code 2, not a traceback."""
+    @functools.wraps(cmd)
+    def wrapped(args) -> int:
+        from repro.campaign import CampaignError
+        try:
+            return cmd(args)
+        except CampaignError as err:
+            print(f"campaign: {err}", file=sys.stderr)
+            return 2
+    return wrapped
+
+
+@_campaign_errors_as_exit_2
 def _cmd_campaign_run(args) -> int:
     from repro.campaign import Campaign, run_campaign
 
@@ -561,6 +581,7 @@ def _cmd_campaign_run(args) -> int:
     return _finish_campaign(campaign, args)
 
 
+@_campaign_errors_as_exit_2
 def _cmd_campaign_resume(args) -> int:
     from repro.campaign import Campaign, run_campaign
 
@@ -574,6 +595,7 @@ def _cmd_campaign_resume(args) -> int:
     return _finish_campaign(campaign, args)
 
 
+@_campaign_errors_as_exit_2
 def _cmd_campaign_status(args) -> int:
     from repro.campaign import Campaign, list_campaigns
 

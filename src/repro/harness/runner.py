@@ -10,12 +10,13 @@ are cached at three levels:
   so two calls differing only in :class:`EnergyParams` share the simulation
   but never an :class:`EnergyReport`;
 * an optional **on-disk cache** of serialized results, content-addressed by
-  the SHA-256 digest of the complete parameterisation (spec + energy
-  parameters + cache format version), enabled by setting
-  ``REPRO_CACHE_DIR`` or calling :func:`set_cache_dir`.  A warm cache lets
-  repeated figure sweeps and pytest benches skip simulation entirely.
+  the SHA-256 digest of the simulation parameterisation (spec + cache
+  format version), enabled by setting ``REPRO_CACHE_DIR`` or calling
+  :func:`set_cache_dir`.  A payload holds no energy, so every
+  :class:`EnergyParams` reads the same entry.  A warm cache lets repeated
+  figure sweeps and pytest benches skip simulation entirely.
 
-:func:`run_suite` (and :func:`prefetch`) accept ``jobs=N`` to farm missing
+:func:`prefetch` (and :func:`run_suite` with ``jobs=N``) farms missing
 simulations out to a ``multiprocessing`` pool; workers return serialized
 results, so parallel sweeps are bit-identical to serial ones.
 
@@ -148,12 +149,14 @@ class RunSpec:
             trace_stalls=data.get("trace_stalls", False),
         )
 
-    def digest(self, energy_params: Optional[EnergyParams] = None) -> str:
-        """Content address of this run (plus the energy parameterisation)."""
+    def digest(self) -> str:
+        """Content address of this run's result."""
         payload = {
             "format": CACHE_FORMAT,
             "spec": self.to_dict(),
-            "energy": _energy_key(energy_params),
+            # Energy is computed after a load, so it names no result; the
+            # default key stays in the hash to keep every address stable.
+            "energy": _DEFAULT_ENERGY_KEY,
         }
         canonical = json.dumps(payload, sort_keys=True)
         return hashlib.sha256(canonical.encode()).hexdigest()
@@ -163,6 +166,9 @@ def _energy_key(params: Optional[EnergyParams]) -> Tuple:
     """Hashable identity of an energy parameterisation."""
     p = params if params is not None else EnergyParams()
     return tuple(sorted(dataclass_to_dict(p).items()))
+
+
+_DEFAULT_ENERGY_KEY = _energy_key(None)
 
 
 # ---------------------------------------------------------------- run object
@@ -250,19 +256,6 @@ class SuiteError(RuntimeError):
             + "\n".join(f"  - {failure}" for failure in failures))
         self.failures = list(failures)
 
-#: Cross-process single-flight guard (``repro.campaign.lease.SingleFlight``
-#: or anything with its ``flight(digest, reload)`` context manager).
-#: Campaign workers install one so that a disk-cache miss is simulated by
-#: exactly one live worker; the others wait on the winner's publish.
-_JOB_GUARD = None
-
-
-def set_job_guard(guard) -> None:
-    """Install (or with ``None`` remove) the cross-process simulation
-    guard.  See :class:`repro.campaign.lease.SingleFlight`."""
-    global _JOB_GUARD
-    _JOB_GUARD = guard
-
 
 _cache_dir: Optional[Path] = None
 _cache_dir_from_env = False
@@ -344,9 +337,8 @@ def _read_payload(path: Path) -> Tuple[str, Optional[Dict[str, object]]]:
     return "ok", payload
 
 
-def _disk_load(spec: RunSpec,
-               energy_params: Optional[EnergyParams]) -> Optional[Dict[str, object]]:
-    path = _cache_path(spec.digest(energy_params))
+def _disk_load(spec: RunSpec) -> Optional[Dict[str, object]]:
+    path = _cache_path(spec.digest())
     if path is None or not path.exists():
         return None
     status, payload = _read_payload(path)
@@ -364,10 +356,8 @@ def _disk_load(spec: RunSpec,
     return None
 
 
-def lookup_result(spec: RunSpec,
-                  energy_params: Optional[EnergyParams] = None
-                  ) -> Optional[Tuple[RunResult,
-                                      Optional[RedundancyProfile]]]:
+def lookup_result(spec: RunSpec) -> Optional[Tuple[RunResult,
+                                                  Optional[RedundancyProfile]]]:
     """Answer *spec* from the memo or the disk cache — never simulate.
 
     This is the read-only entry point the serve API answers cache hits
@@ -379,7 +369,7 @@ def lookup_result(spec: RunSpec,
     if cached is not None:
         COUNTS["memo_hits"] += 1
         return cached[0], cached[1]
-    payload = _disk_load(spec, energy_params)
+    payload = _disk_load(spec)
     if payload is None:
         return None
     result, profile = _rehydrate(payload)
@@ -387,9 +377,8 @@ def lookup_result(spec: RunSpec,
     return result, profile
 
 
-def _disk_store(spec: RunSpec, energy_params: Optional[EnergyParams],
-                payload: Dict[str, object]) -> None:
-    path = _cache_path(spec.digest(energy_params))
+def _disk_store(spec: RunSpec, payload: Dict[str, object]) -> None:
+    path = _cache_path(spec.digest())
     if path is None:
         return
     # Unique per-process temp name: two workers (or a worker and a retry of
@@ -422,6 +411,11 @@ class CacheReport:
     version_mismatch: int = 0
     pruned: int = 0
     corrupt_paths: List[str] = field(default_factory=list)
+    #: Valid payloads filed under a digest their own spec no longer
+    #: hashes to (written when cadence or energy was part of the
+    #: address): no lookup can ever reach them.
+    unaddressable: int = 0
+    unaddressable_pruned: int = 0
     #: Orphaned ``*.tmp`` files (killed mid-write) found under the cache.
     tmp_orphans: int = 0
     tmp_pruned: int = 0
@@ -446,8 +440,9 @@ def verify_cache_dir(base: Optional[os.PathLike] = None,
                      prune: bool = False) -> CacheReport:
     """Audit every entry of an on-disk result cache.
 
-    Checks each ``*.json`` payload's parseability, format version, and
-    content checksum.  With ``prune=True`` corrupt entries are deleted
+    Checks each ``*.json`` payload's parseability, format version,
+    content checksum, and that its spec still hashes to its file name.
+    With ``prune=True`` corrupt and unaddressable entries are deleted
     (version-mismatched entries are always left alone — an older tool may
     still want them).  Also swept: orphaned ``*.tmp`` files (half-written
     payloads, checkpoints, or lease tombstones abandoned by killed
@@ -466,8 +461,16 @@ def verify_cache_dir(base: Optional[os.PathLike] = None,
         if path.parent.name in ("ckpt", "campaign"):
             continue  # not result entries; audited separately below
         report.total += 1
-        status, _ = _read_payload(path)
-        if status == "ok":
+        status, payload = _read_payload(path)
+        if status == "ok" and not _addressable(payload, path.stem):
+            report.unaddressable += 1
+            if prune:
+                try:
+                    path.unlink()
+                    report.unaddressable_pruned += 1
+                except OSError:
+                    pass
+        elif status == "ok":
             report.ok += 1
         elif status == "version":
             report.version_mismatch += 1
@@ -501,6 +504,15 @@ def verify_cache_dir(base: Optional[os.PathLike] = None,
     _sweep_ckpt_slots(root, report, prune, now)
     _sweep_leases(root, report, prune, now)
     return report
+
+
+def _addressable(payload: Dict[str, object], digest: str) -> bool:
+    """Whether *payload*'s own spec hashes to the *digest* it is filed
+    under."""
+    try:
+        return RunSpec.from_dict(payload["spec"]).digest() == digest
+    except (KeyError, TypeError):
+        return False  # no spec at all: nothing can address it
 
 
 def _live_lease_jobs(root: Path, now: float) -> set:
@@ -656,8 +668,7 @@ def _worker(spec_data: Dict[str, object],
 
 
 def _obtain_result(
-    spec: RunSpec, energy_params: Optional[EnergyParams],
-    checkpoint_every: Optional[int] = None,
+    spec: RunSpec, checkpoint_every: Optional[int] = None,
 ) -> Tuple[RunResult, Optional[RedundancyProfile], Optional[BuiltWorkload]]:
     """Result memo -> disk cache -> fresh simulation, in that order."""
     cached = _RESULT_CACHE.get(spec)
@@ -665,29 +676,13 @@ def _obtain_result(
         COUNTS["memo_hits"] += 1
         return cached
 
-    payload = _disk_load(spec, energy_params)
-    if payload is None and _JOB_GUARD is not None:
-        # Single-flight across worker processes: either we win the job's
-        # lease (and simulate below, holding it), or a live sibling is
-        # already simulating this digest and we adopt its payload.
-        with _JOB_GUARD.flight(
-                spec.digest(energy_params),
-                lambda: _disk_load(spec, energy_params)) as found:
-            if found is not None:
-                payload = found
-            else:
-                result, profile, workload = _simulate(spec, checkpoint_every)
-                _disk_store(spec, energy_params,
-                            _payload_from(spec, result, profile))
-                entry = (result, profile, workload)
-                _RESULT_CACHE[spec] = entry
-                return entry
+    payload = _disk_load(spec)
     if payload is not None:
         result, profile = _rehydrate(payload)
         entry = (result, profile, None)
     else:
         result, profile, workload = _simulate(spec, checkpoint_every)
-        _disk_store(spec, energy_params, _payload_from(spec, result, profile))
+        _disk_store(spec, _payload_from(spec, result, profile))
         entry = (result, profile, workload)
     _RESULT_CACHE[spec] = entry
     return entry
@@ -725,8 +720,7 @@ def run_benchmark(
     if run is not None:
         return run
 
-    result, merged_profile, workload = _obtain_result(spec, energy_params,
-                                                      checkpoint_every)
+    result, merged_profile, workload = _obtain_result(spec, checkpoint_every)
     if workload is None:
         # Rehydrated result: rebuild the (pre-run) workload so callers can
         # still reach the program and launch geometry.
@@ -744,9 +738,9 @@ def run_benchmark(
     return run
 
 
-def _failure(spec: RunSpec, energy_params: Optional[EnergyParams],
-             kind: str, error: str, attempts: int) -> JobFailure:
-    return JobFailure(spec=spec, digest=spec.digest(energy_params),
+def _failure(spec: RunSpec, kind: str, error: str,
+             attempts: int) -> JobFailure:
+    return JobFailure(spec=spec, digest=spec.digest(),
                       kind=kind, error=error, attempts=attempts)
 
 
@@ -769,33 +763,8 @@ def _retry_wait(backoff: float, attempt: int,
                                         MAX_RETRY_WAIT)))
 
 
-def _serial_simulate(
-    missing: Sequence[RunSpec],
-    energy_params: Optional[EnergyParams],
-    retries: int,
-    backoff: float,
-    checkpoint_every: Optional[int],
-) -> List[JobFailure]:
-    """In-process fallback path (no per-job timeout is possible here)."""
-    failures: List[JobFailure] = []
-    for spec in missing:
-        for attempt in range(retries + 1):
-            try:
-                _obtain_result(spec, energy_params, checkpoint_every)
-                break
-            except Exception as err:  # noqa: BLE001 - recorded per spec
-                if attempt < retries:
-                    _retry_wait(backoff, attempt)
-                    continue
-                failures.append(_failure(
-                    spec, energy_params, "error",
-                    f"{type(err).__name__}: {err}", attempt + 1))
-    return failures
-
-
 def _parallel_simulate(
     missing: Sequence[RunSpec],
-    energy_params: Optional[EnergyParams],
     jobs: int,
     timeout: Optional[float],
     retries: int,
@@ -838,18 +807,20 @@ def _parallel_simulate(
                         retry.append((spec, attempt + 1))
                     else:
                         failures.append(_failure(
-                            spec, energy_params, "timeout",
+                            spec, "timeout",
                             f"no result within {timeout:g}s", attempt + 1))
                 except Exception as err:  # noqa: BLE001 - recorded per spec
                     if attempt < retries:
                         retry.append((spec, attempt + 1))
                     else:
                         failures.append(_failure(
-                            spec, energy_params, "error",
+                            spec, "error",
                             f"{type(err).__name__}: {err}", attempt + 1))
                 else:
+                    # The worker's own count died with it.
+                    COUNTS["simulations"] += 1
                     result, profile = _rehydrate(payload)
-                    _disk_store(spec, energy_params, payload)
+                    _disk_store(spec, payload)
                     _RESULT_CACHE[spec] = (result, profile, None)
             # Pool.__exit__ terminates the workers, killing any hung ones.
         if retry:
@@ -861,7 +832,6 @@ def _parallel_simulate(
 def prefetch(
     specs: Iterable[RunSpec],
     jobs: int = 1,
-    energy_params: Optional[EnergyParams] = None,
     timeout: Optional[float] = None,
     retries: int = 0,
     backoff: float = 0.25,
@@ -870,16 +840,16 @@ def prefetch(
     checkpoint_every: Optional[int] = None,
 ) -> int:
     """Ensure every spec's result is available, simulating missing ones with
-    a worker pool.  Returns the number of simulations attempted.
+    a pool of up to *jobs* worker processes.  Returns the number of
+    simulations attempted.
 
     Workers return *serialized* results, so a parallel sweep is bit-identical
     to a serial one; completed payloads land in the disk cache (when enabled)
     and the in-process memo.
 
-    ``timeout`` bounds each parallel job's wall-clock seconds (hung or
-    silently dying workers are reaped; ignored when ``jobs <= 1``);
-    ``retries`` re-runs a failed job that many extra times with
-    exponential ``backoff``.  Failures are appended to ``failures_out``
+    ``timeout`` bounds each job's wall-clock seconds (hung or silently
+    dying workers are reaped); ``retries`` re-runs a failed job that many
+    extra times with exponential ``backoff``.  Failures are appended to ``failures_out``
     (when given) and raised as one :class:`SuiteError` unless
     ``strict=False``.  ``checkpoint_every`` is as for
     :func:`run_benchmark`.
@@ -887,12 +857,7 @@ def prefetch(
     missing: List[RunSpec] = []
     seen = set()
     for spec in specs:
-        if spec in _RESULT_CACHE or spec in seen:
-            continue
-        payload = _disk_load(spec, energy_params)
-        if payload is not None:
-            result, profile = _rehydrate(payload)
-            _RESULT_CACHE[spec] = (result, profile, None)
+        if spec in seen or lookup_result(spec) is not None:
             continue
         seen.add(spec)
         missing.append(spec)
@@ -900,12 +865,8 @@ def prefetch(
     if not missing:
         return 0
 
-    if jobs <= 1 or len(missing) == 1:
-        failures = _serial_simulate(missing, energy_params, retries, backoff,
-                                    checkpoint_every)
-    else:
-        failures = _parallel_simulate(missing, energy_params, jobs, timeout,
-                                      retries, backoff, checkpoint_every)
+    failures = _parallel_simulate(missing, max(jobs, 1), timeout, retries,
+                                  backoff, checkpoint_every)
     if failures_out is not None:
         failures_out.extend(failures)
     if failures and strict:
@@ -937,8 +898,7 @@ def run_suite(
     specs = [RunSpec.make(abbr, model, **kwargs) for abbr in abbrs]
     failures: List[JobFailure] = []
     if jobs > 1:
-        prefetch(specs, jobs=jobs, energy_params=energy_params,
-                 timeout=timeout, retries=retries, backoff=backoff,
+        prefetch(specs, jobs=jobs, timeout=timeout, retries=retries, backoff=backoff,
                  strict=False, failures_out=failures)
     failed = {failure.spec for failure in failures}
     runs: Dict[str, BenchmarkRun] = {}
@@ -949,7 +909,7 @@ def run_suite(
             runs[abbr] = run_benchmark(abbr, model,
                                        energy_params=energy_params, **kwargs)
         except Exception as err:  # noqa: BLE001 - recorded per spec
-            failures.append(_failure(spec, energy_params, "error",
+            failures.append(_failure(spec, "error",
                                      f"{type(err).__name__}: {err}", 1))
     if failures_out is not None:
         failures_out.extend(failures)

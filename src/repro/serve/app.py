@@ -19,8 +19,8 @@ A miss returns **202 Accepted** with a job handle after enqueueing the
 missing specs on the campaign runner.  ``JobManager.submit`` runs
 synchronously on the event loop and converges identical spec sets on one
 ad-hoc campaign, so a storm of identical cold queries costs one job, and
-under that the campaign workers' lease-based single-flight makes even
-many server replicas cost one simulation.
+under that the campaign's per-job lease claim makes even many server
+replicas cost one simulation.
 
 Every request additionally climbs the overload ladder (DESIGN.md §17):
 admission gate (503 + ``Retry-After`` past the high-water mark), a

@@ -6,10 +6,10 @@ RunSpecs, no matrix, no checkpoint cadence) and handed to a
 single daemon worker thread that drains campaigns one at a time through
 :func:`~repro.campaign.engine.run_worker`.  That reuses the whole PR-7
 fault-tolerance stack for free: leases, the append-only journal,
-quarantine for poison specs, and — critically — the cross-worker
-lease-based ``SingleFlight`` guard ``run_worker`` installs, which is the
-second dedup layer under the serve API (:meth:`JobManager.submit`'s
-idempotency being the first).
+quarantine for poison specs, and — critically — the per-job lease claim
+(:meth:`LeaseManager.claim`) that lets exactly one worker, in this or any
+other process, simulate each job: the second dedup layer under the serve
+API (:meth:`JobManager.submit`'s idempotency being the first).
 
 Job identity is the ad-hoc campaign id, itself derived from the sorted
 spec digests: submitting the same missing set twice — from this process,

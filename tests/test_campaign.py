@@ -2,7 +2,7 @@
 
 Covers the pieces in isolation — checksummed journal, lease lifecycle
 (including a hypothesis state machine over claim/renew/release/expiry),
-matrix expansion, single-flight guard, full-jitter retry waits, the cache
+matrix expansion, full-jitter retry waits, the cache
 sweeps for campaign debris — and then the whole thing in-process: a small
 campaign drained by ``run_worker`` whose status, failure history, and
 aggregated results are derivable from the directory alone.
@@ -21,7 +21,7 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize,
 import repro.ckpt.snapshot as snapshot
 import repro.harness.runner as runner
 from repro.campaign import (Campaign, CampaignError, Heartbeat, LeaseManager,
-                            MatrixSpec, SingleFlight, aggregate_results,
+                            MatrixSpec, aggregate_results,
                             campaign_complete, campaign_status, fold_journal,
                             job_state, list_campaigns, read_journal,
                             render_status, run_worker)
@@ -37,11 +37,9 @@ def _clean_harness(monkeypatch):
     clear_cache()
     monkeypatch.setattr(runner, "_TEST_HOOK", None)
     monkeypatch.setattr(snapshot, "_TEST_HOOK", None)
-    runner.set_job_guard(None)
     yield
     clear_cache()
     set_cache_dir(None)
-    runner.set_job_guard(None)
 
 
 class FakeClock:
@@ -281,64 +279,6 @@ class TestHeartbeat:
             time.sleep(0.3)
         assert heartbeat.lost
         assert "job" not in mgr.owned
-
-
-class TestSingleFlight:
-    def test_winner_holds_the_lease_for_the_flight(self, tmp_path):
-        clock = FakeClock()
-        mgr = LeaseManager(tmp_path / "leases", ttl=10.0, clock=clock)
-        guard = SingleFlight(mgr, "w0")
-        with guard.flight("job", lambda: None) as payload:
-            assert payload is None  # we are the winner: simulate
-            assert mgr.read("job").owner == "w0"
-        assert mgr.read("job") is None  # released after the flight
-
-    def test_loser_waits_for_the_winners_publish(self, tmp_path):
-        clock = FakeClock()
-        # The winner is another process: it has its own LeaseManager.
-        winner = LeaseManager(tmp_path / "leases", ttl=10.0, clock=clock)
-        winner.claim("job", "winner", attempt=1)
-        mgr = LeaseManager(tmp_path / "leases", ttl=10.0, clock=clock)
-        published = {}
-        polls = []
-
-        def reload():
-            return published.get("payload")
-
-        def sleep(interval):
-            polls.append(interval)
-            if len(polls) == 3:
-                published["payload"] = {"result": 42}
-
-        guard = SingleFlight(mgr, "loser", sleep=sleep)
-        with guard.flight("job", reload) as payload:
-            assert payload == {"result": 42}
-        assert len(polls) == 3
-        assert mgr.read("job").owner == "winner"  # never touched
-
-    def test_loser_takes_over_when_the_winner_dies(self, tmp_path):
-        clock = FakeClock()
-        winner = LeaseManager(tmp_path / "leases", ttl=10.0, clock=clock)
-        winner.claim("job", "winner", attempt=1)
-        mgr = LeaseManager(tmp_path / "leases", ttl=10.0, clock=clock)
-
-        def sleep(_interval):
-            clock.advance(11.0)  # the winner stops heartbeating
-
-        guard = SingleFlight(mgr, "loser", sleep=sleep)
-        with guard.flight("job", lambda: None) as payload:
-            assert payload is None  # reclaimed: we simulate now
-            assert mgr.read("job").owner == "loser"
-
-    def test_reentrant_over_scheduler_claimed_jobs(self, tmp_path):
-        clock = FakeClock()
-        mgr = LeaseManager(tmp_path / "leases", ttl=10.0, clock=clock)
-        mgr.claim("job", "w0", attempt=1)  # the campaign scheduler's claim
-        guard = SingleFlight(mgr, "w0")
-        with guard.flight("job", lambda: None) as payload:
-            assert payload is None
-        # The scheduler's lease survives the nested flight.
-        assert mgr.read("job").owner == "w0"
 
 
 # ------------------------------------------------------- full-jitter retry

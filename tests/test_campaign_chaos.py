@@ -42,11 +42,9 @@ def _clean_harness(monkeypatch):
     clear_cache()
     monkeypatch.setattr(runner, "_TEST_HOOK", None)
     monkeypatch.setattr(snapshot, "_TEST_HOOK", None)
-    runner.set_job_guard(None)
     yield
     clear_cache()
     set_cache_dir(None)
-    runner.set_job_guard(None)
 
 
 def test_sigkilled_campaign_converges_bit_identically_to_serial(tmp_path):

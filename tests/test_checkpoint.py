@@ -417,13 +417,19 @@ class TestChaos:
         # (first write at >= 2*EVERY) rather than silently restarting
         # (which would write in the first cadence window — and results
         # alone could not tell, because a restart is deterministic too).
-        writes = []
-        monkeypatch.setattr(snapshot, "_TEST_HOOK",
-                            lambda cycle, _path: writes.append(cycle))
+        # The run happens in a pool worker, so the writes go to a file.
+        log = tmp_path / "writes.log"
+
+        def record_write(cycle, _path):
+            with log.open("a") as out:
+                out.write(f"{cycle}\n")
+
+        monkeypatch.setattr(snapshot, "_TEST_HOOK", record_write)
         failures = []
         prefetch([flaky, sibling], jobs=2, timeout=TIMEOUT, retries=0,
                  strict=False, failures_out=failures, checkpoint_every=EVERY)
         assert failures == []
+        writes = [int(line) for line in log.read_text().split()]
         assert writes and writes[0] >= 2 * EVERY
         assert not ckpt_path.exists()
 

@@ -202,6 +202,30 @@ def test_cache_verify_reports_corruption(capsys, tmp_path):
         clear_cache()
 
 
+def test_cache_verify_prunes_unaddressable_entries(capsys, tmp_path):
+    from repro.harness.runner import clear_cache, run_benchmark, set_cache_dir
+
+    try:
+        set_cache_dir(tmp_path)
+        clear_cache()
+        run_benchmark("GA", "Base", num_sms=1)
+        entry = next(tmp_path.glob("*/*.json"))
+        stray = entry.parent / ("f" * 64 + ".json")
+        stray.write_text(entry.read_text())
+
+        code, out = run_cli(capsys, "cache", "verify", "--dir", str(tmp_path))
+        assert code == 0
+        assert "1 ok" in out and "1 unaddressable" in out
+
+        code, out = run_cli(capsys, "cache", "verify", "--dir", str(tmp_path),
+                            "--prune")
+        assert "pruned 1 unaddressable entry" in out
+        assert not stray.exists() and entry.exists()
+    finally:
+        set_cache_dir(None)
+        clear_cache()
+
+
 def test_cache_verify_without_dir(capsys, monkeypatch):
     from repro.harness.runner import set_cache_dir
 
@@ -294,11 +318,51 @@ def test_campaign_status_and_work_cycle(capsys, tmp_path, _campaign_cache):
     assert payload["failures"] == []
 
 
-def test_campaign_status_unknown_id(capsys, tmp_path, _campaign_cache):
-    from repro.campaign import CampaignError
+def _campaign_cli_error(capsys, *argv) -> str:
+    """Run a campaign command expected to fail; return its stderr."""
+    code = main(["campaign", *argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.startswith("campaign: ") and err.count("\n") == 1
+    return err
 
-    with pytest.raises(CampaignError, match="no campaign"):
-        main(["campaign", "status", "--dir", str(tmp_path), "feedfeedfeed"])
+
+def test_campaign_status_unknown_id(capsys, tmp_path, _campaign_cache):
+    err = _campaign_cli_error(capsys, "status", "--dir", str(tmp_path),
+                              "feedfeedfeed")
+    assert "no campaign 'feedfeedfeed'" in err
+
+
+def test_campaign_resume_unknown_id(capsys, tmp_path, _campaign_cache):
+    err = _campaign_cli_error(capsys, "resume", "--dir", str(tmp_path),
+                              "feedfeedfeed")
+    assert "no campaign 'feedfeedfeed'" in err
+
+
+def test_campaign_old_manifest_is_one_line(capsys, tmp_path,
+                                           _campaign_cache):
+    from repro.campaign import Campaign, MatrixSpec
+
+    campaign = Campaign.create(MatrixSpec.make(["GA"], num_sms=1),
+                               base=tmp_path)
+    manifest_path = campaign.root / "campaign.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["version"] = 1
+    manifest_path.write_text(json.dumps(manifest))
+    for command in ("status", "resume"):
+        err = _campaign_cli_error(capsys, command, "--dir", str(tmp_path),
+                                  campaign.id)
+        assert "manifest version 1" in err
+
+
+def test_campaign_run_zero_cadence_is_one_line(capsys, tmp_path,
+                                               _campaign_cache):
+    err = _campaign_cli_error(capsys, "run", "--dir", str(tmp_path),
+                              "--benchmarks", "GA", "--sms", "1",
+                              "--checkpoint-every", "0")
+    assert "checkpoint_every must be at least 1" in err
+    assert not list(tmp_path.glob("campaign/*"))  # no manifest written
 
 
 def test_campaign_status_without_campaigns(capsys, tmp_path, _campaign_cache):

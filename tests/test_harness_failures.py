@@ -176,6 +176,32 @@ class TestCacheIntegrity:
         finally:
             set_cache_dir(None)
 
+    def test_verify_cache_dir_prunes_unaddressable_entries(self, tmp_path):
+        """A valid payload under a digest its spec does not hash to (as
+        left by addresses that once covered cadence or energy) can never
+        be looked up: verify counts it and ``prune`` deletes it."""
+        set_cache_dir(tmp_path)
+        try:
+            run_benchmark("GA", "RLPV", num_sms=1, reuse_buffer_entries=32)
+            (entry,) = Path(tmp_path).glob("*/*.json")
+            spec = RunSpec.make("GA", "RLPV", num_sms=1,
+                                reuse_buffer_entries=32)
+            assert entry.stem == spec.digest()  # the dict round trip holds
+            stray = entry.parent / ("0" * 64 + ".json")
+            stray.write_text(entry.read_text())
+
+            report = verify_cache_dir(tmp_path)
+            assert (report.total, report.ok, report.unaddressable) == (2, 1, 1)
+            assert stray.exists()
+
+            report = verify_cache_dir(tmp_path, prune=True)
+            assert report.unaddressable_pruned == 1
+            assert not stray.exists()
+            assert entry.exists()
+            assert verify_cache_dir(tmp_path).unaddressable == 0
+        finally:
+            set_cache_dir(None)
+
     def test_verify_cache_dir_without_cache(self, tmp_path):
         report = verify_cache_dir(tmp_path / "nonexistent")
         assert report.total == 0

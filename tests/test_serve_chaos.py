@@ -48,11 +48,9 @@ def _clean(monkeypatch):
     clear_cache()
     monkeypatch.setattr(runner, "_TEST_HOOK", None)
     monkeypatch.setattr(jobs_module, "_TEST_DRAIN_HOOK", None)
-    runner.set_job_guard(None)
     yield
     clear_cache()
     set_cache_dir(None)
-    runner.set_job_guard(None)
 
 
 def warm_fig17_ga(tmp_path):

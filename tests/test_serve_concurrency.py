@@ -6,8 +6,8 @@ single PROFILE run, so "exactly one" is literal: one ad-hoc campaign
 directory, one job digest inside it, ``COUNTS["simulations"] == 1`` after
 the drain.  Dedup is layered — the JobManager's synchronous, idempotent
 submit converges racing identical spec sets on one durable campaign, and
-the campaign worker's lease-based single-flight would keep even multiple
-*processes* from re-simulating — and the storm here exercises both
+the campaign's per-job lease claim would keep even multiple *processes*
+from re-simulating — and the storm here exercises both
 through real sockets.
 """
 
@@ -28,11 +28,9 @@ COLD = "/v1/figure/fig2?workload=GA&scale=1&sms=1"
 def _clean(monkeypatch):
     clear_cache()
     monkeypatch.setattr(runner, "_TEST_HOOK", None)
-    runner.set_job_guard(None)
     yield
     clear_cache()
     set_cache_dir(None)
-    runner.set_job_guard(None)
 
 
 class TestColdStorm:

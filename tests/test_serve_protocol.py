@@ -29,11 +29,9 @@ Q = "/v1/figure/fig17?workload=GA&scale=1&sms=1"
 def _clean(monkeypatch):
     clear_cache()
     monkeypatch.setattr(runner, "_TEST_HOOK", None)
-    runner.set_job_guard(None)
     yield
     clear_cache()
     set_cache_dir(None)
-    runner.set_job_guard(None)
 
 
 @pytest.fixture(scope="module")

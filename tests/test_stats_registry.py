@@ -179,6 +179,19 @@ class TestEnergyParamsKeying:
         # same params -> same memo entry, both before and after the change
         assert run_benchmark("HT", "RLPV", num_sms=1) is default
 
+    def test_energy_params_share_the_disk_entry(self, tmp_path):
+        set_cache_dir(tmp_path)
+        default = run_benchmark("HT", "RLPV", num_sms=1)
+        clear_cache()  # keep only the disk cache
+        sims_before = COUNTS["simulations"]
+        doubled = EnergyParams()
+        doubled.rf_bank_access *= 2
+        other = run_benchmark("HT", "RLPV", num_sms=1, energy_params=doubled)
+        assert COUNTS["simulations"] == sims_before  # answered from disk
+        assert len(list(tmp_path.glob("*/*.json"))) == 1
+        assert other.energy != default.energy
+        assert other.result.to_dict() == default.result.to_dict()
+
 
 # --------------------------------------------------- harness: parallel sweep
 
