@@ -25,7 +25,7 @@ BUDGETS = {
 }
 
 #: Maximum total line count of every ``*.py`` file under ``src/``.
-SRC_TOTAL_BUDGET = 19704
+SRC_TOTAL_BUDGET = 19461
 
 
 def repo_root() -> Path:

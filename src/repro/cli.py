@@ -614,6 +614,7 @@ def _cmd_campaign_status(args) -> int:
     return _finish_campaign(Campaign.open(campaign_id, base=base), args)
 
 
+@_campaign_errors_as_exit_2
 def _cmd_campaign_work(args) -> int:
     from repro.campaign import worker_main
 

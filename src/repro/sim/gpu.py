@@ -148,18 +148,9 @@ class RunResult:
         return self.sm_stat(f"regfile.{key}")
 
     @property
-    def regfile_stats(self) -> List[Dict[str, int]]:
-        return [group.lookup("regfile").counters() for group in self.sm_groups]
-
-    @property
     def l1d_stats(self) -> Dict[str, int]:
         return StatGroup.merged(
             group.lookup("l1d") for group in self.sm_groups).counters()
-
-    @property
-    def l1c_stats(self) -> Dict[str, int]:
-        return StatGroup.merged(
-            group.lookup("l1c") for group in self.sm_groups).counters()
 
     @property
     def l2_stats(self) -> Dict[str, int]:
@@ -341,13 +332,6 @@ class GPU:
             self._check_resumable("checkpoint")
         if resume is not None or stop_cycle is not None:
             self._check_resumable("resume or pause")
-        if (resume is None and stop_cycle is None
-                and (every is None or ckpt_path is None)):
-            # A plain run can never cut mid-block, so the superblock
-            # runtime may batch whole-block counter sums at block entry.
-            for sm in sms:
-                if sm._superblock is not None:
-                    sm._superblock.resumable = False
 
         all_blocks = list(enumerate_blocks(launch.grid, launch.block))
         if resume is not None:

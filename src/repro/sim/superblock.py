@@ -7,9 +7,8 @@ round trips, and a five-tuple writeback event.  This module compiles each
 branches, barriers/fences, unsupported opcodes, basic-block leaders,
 reconvergence points, and (when the WIR unit probes) every reuse-probe
 point — once per ``(program, config digest)`` into a list of per-instruction
-*step* closures over structure-of-arrays warp state, plus per-segment *row
-evaluators* that batch the functional math of a whole segment into one
-overlay-dict sweep.
+*step* closures over structure-of-arrays warp state, plus generated *row
+evaluators* that compute the functional math of a whole segment in one call.
 
 Bit-identity contract: a step performs exactly the same state mutations, in
 exactly the same order, as the per-instruction path through ``SMCore._issue``
@@ -17,7 +16,9 @@ exactly the same order, as the per-instruction path through ``SMCore._issue``
 off), and schedules exactly as many heap events at the same cycles — one
 ``EV_SB_WRITEBACK`` at issue and one ``EV_RETIRE`` from its handler — so
 event sequence numbers, bank arbitration order, and every counter match the
-scalar oracle bit for bit (``tests/test_exec_differential.py``).
+scalar oracle bit for bit (``tests/test_exec_differential.py``).  Each step
+bumps its own counters, so a checkpoint cut between any two steps sees
+exactly the per-instruction path's counts.
 
 Within a block the active mask is constant (no control flow, no leaders), so
 lane count and commit shape are decided once at block entry:
@@ -28,11 +29,14 @@ lane count and commit shape are decided once at block entry:
   value (``np.where(mask, row, prev)``), after which the very same direct
   commit reproduces a masked ``np.copyto`` exactly.
 
-Rows are evaluated lazily at the issue of the first instruction of a
-*segment* (segments split after loads — loads must read memory at issue) and
-popped as they are consumed, so nothing here is checkpoint state: a restore
-simply recomputes the remaining rows from the live registers, which at any
-mid-segment point equal the overlay state by construction.  The compiled
+Rows are evaluated at the issue of the instruction a warp enters at, through
+to the end of its *segment* (segments split after loads — loads must read
+memory at issue), and popped as they are consumed.  The evaluator for each
+block-local entry index is generated the first time a warp enters there: a
+segment head, a mid-segment pc after a checkpoint restore or an
+``invalidate()``, or a guarded singleton.  Nothing here is checkpoint state:
+a restore recomputes the remaining rows from the live registers, which at
+any mid-segment point hold every earlier row of the segment.  The compiled
 tables hang off the program instance (identity-keyed), then by config
 digest — never serialized, always rebuildable.
 """
@@ -138,141 +142,19 @@ def superblock_ranges(program: Program) -> List[Tuple[int, int]]:
 
 # ----------------------------------------------------------- row evaluators
 #
-# An evaluator computes one instruction's functional row from an overlay of
-# the block's earlier (not yet issued) results: ``ov`` maps register index ->
-# committed-value row, ``pv`` maps predicate index -> committed-value row;
-# misses fall back to the live warp state.  With ``mask is None`` (full
-# entry) the raw result *is* the committed value; with a partial mask the
-# evaluator blends with the previous committed value so the row can be
-# committed with a direct full-width assignment.
-
-def _compile_getter(operand: Operand) -> Callable:
-    kind = operand.kind
-    if kind is OperandKind.REG:
-        index = operand.value
-
-        def get_reg(ov, warp):
-            row = ov.get(index)
-            return warp.registers[index] if row is None else row
-        return get_reg
-    if kind is OperandKind.IMM:
-        shared = np.full(WARP_SIZE, operand.value, dtype=np.uint32)
-        shared.flags.writeable = False
-        return lambda ov, warp: shared
-    if kind is OperandKind.SREG:
-        name = operand.sreg_name
-        return lambda ov, warp: warp.special_value(name)
-    if kind is OperandKind.ADDR:
-        index, offset = operand.value, operand.offset
-
-        def get_addr(ov, warp):
-            row = ov.get(index)
-            base = warp.registers[index] if row is None else row
-            addr = base.astype(np.int64) + offset
-            return (addr & 0xFFFFFFFF).astype(np.uint32)
-        return get_addr
-    raise ValueError(f"cannot resolve operand {operand}")
-
-
-def _blend_reg(row, dst, ov, warp, mask):
-    prev = ov.get(dst)
-    if prev is None:
-        prev = warp.registers[dst]
-    return np.where(mask, row, prev)
-
-
-def _make_alu_eval(inst: Instruction) -> Callable:
-    compute = _RESULT_OPS[inst.opcode]
-    getters = tuple(_compile_getter(src) for src in inst.srcs)
-    dst = inst.dst.value
-
-    # Arity-specialised bodies: a genexpr-built tuple costs a generator
-    # frame per evaluation, which dominates cheap ALU rows.
-    if len(getters) == 2:
-        get_a, get_b = getters
-
-        def ev(ov, pv, warp, mask):
-            row = compute((get_a(ov, warp), get_b(ov, warp)))
-            if mask is not None:
-                row = _blend_reg(row, dst, ov, warp, mask)
-            ov[dst] = row
-            return row
-        return ev
-    if len(getters) == 1:
-        get_a, = getters
-
-        def ev(ov, pv, warp, mask):
-            row = compute((get_a(ov, warp),))
-            if mask is not None:
-                row = _blend_reg(row, dst, ov, warp, mask)
-            ov[dst] = row
-            return row
-        return ev
-
-    def ev(ov, pv, warp, mask):
-        row = compute(tuple(get(ov, warp) for get in getters))
-        if mask is not None:
-            row = _blend_reg(row, dst, ov, warp, mask)
-        ov[dst] = row
-        return row
-    return ev
-
-
-def _make_selp_eval(inst: Instruction) -> Callable:
-    get_a, get_b = (_compile_getter(src) for src in inst.srcs)
-    pred_src = inst.pred_src
-    dst = inst.dst.value
-
-    def ev(ov, pv, warp, mask):
-        pred = pv.get(pred_src)
-        if pred is None:
-            pred = warp.predicates[pred_src]
-        row = np.where(pred, get_a(ov, warp), get_b(ov, warp))
-        if mask is not None:
-            row = _blend_reg(row, dst, ov, warp, mask)
-        ov[dst] = row
-        return row
-    return ev
-
-
-def _make_setp_eval(inst: Instruction) -> Callable:
-    table = _CMP_INT if inst.opcode is Opcode.SETP else _CMP_FP
-    cmp_fn = table[inst.cmp]
-    get_a, get_b = (_compile_getter(src) for src in inst.srcs)
-    dst = inst.dst.value
-
-    def ev(ov, pv, warp, mask):
-        row = cmp_fn(get_a(ov, warp), get_b(ov, warp))
-        if mask is not None:
-            prev = pv.get(dst)
-            if prev is None:
-                prev = warp.predicates[dst]
-            row = np.where(mask, row, prev)
-        pv[dst] = row
-        return row
-    return ev
-
-
-def _make_load_eval(inst: Instruction) -> Callable:
-    # The row is the address vector; the loaded value is only known at
-    # issue (memory is globally mutable), which is why loads end segments.
-    get_addr = _compile_getter(inst.srcs[0])
-    return lambda ov, pv, warp, mask: get_addr(ov, warp)
-
-
-def _make_store_eval(inst: Instruction) -> Callable:
-    get_addr, get_values = (_compile_getter(src) for src in inst.srcs)
-
-    def ev(ov, pv, warp, mask):
-        return (get_addr(ov, warp), get_values(ov, warp))
-    return ev
-
+# A segment's rows are computed by one generated function per block-local
+# entry index.  Registers and predicates the segment wrote earlier are read
+# from local variables holding the segment's last write; everything else is
+# read from the live warp state.  With a full entry mask the raw result *is*
+# the committed value; with a partial mask each row is blended with the
+# previous committed value so the step can commit it with a direct
+# full-width assignment.
 
 def _operand_expr(operand: Operand, temps: Dict, consts: Dict) -> str:
-    """Source-code expression for one operand inside a fused segment
-    evaluator — the codegen twin of :func:`_compile_getter`, with the
-    overlay dict replaced by *temps* (reg/pred -> local variable name of
-    the segment's last write, exactly the overlay semantics)."""
+    """Source-code expression for one operand inside a generated segment
+    evaluator — resolved as ``exec_engine.resolve_operand`` does, except
+    that a register the segment already wrote reads *temps* (reg/pred ->
+    local variable name of the segment's last write)."""
     kind = operand.kind
     if kind is OperandKind.REG:
         return temps.get(("r", operand.value), f"R[{operand.value}]")
@@ -292,16 +174,19 @@ def _operand_expr(operand: Operand, temps: Dict, consts: Dict) -> str:
 
 
 def _codegen_segment(block_start: int, insts, i0: int, i1: int) -> tuple:
-    """Compile one segment (block-local ``i0..i1``) into two generated
-    functions — ``(full, masked)`` — each evaluating every row of the
-    segment in one call: the "single fused numpy kernel" of DESIGN.md §16.
+    """Compile the rows of block-local ``i0..i1`` (an entry index up to its
+    segment end) into two generated functions — ``(full, masked)`` — each
+    evaluating every row in one call: the "single fused numpy kernel" of
+    DESIGN.md §16.
 
-    The generated code performs exactly the operations of the
-    per-instruction evaluators in the same order (same compute functions,
-    same blends), with the overlay dictionaries replaced by local
-    variables, so the rows are bit-identical.  Only unguarded segments are
-    generated; mid-segment entry (checkpoint resume) keeps the
-    per-instruction path.
+    The generated code calls the per-instruction kernels' compute
+    functions and comparison tables (``exec_engine._RESULT_OPS``,
+    ``_CMP_INT``/``_CMP_FP``) in instruction order, so rows are
+    bit-identical to the scalar oracle, dtypes included
+    (``tests/test_superblock.py``).  *i0* may be any index: a segment
+    head, a mid-segment entry after a checkpoint restore or an
+    ``invalidate()``, or a guarded singleton (whose caller always takes
+    the full variant — the guard wrapper masks at issue).
     """
     consts: Dict[str, object] = {}
     temps: Dict[tuple, str] = {}
@@ -365,26 +250,6 @@ def _codegen_segment(block_start: int, insts, i0: int, i1: int) -> tuple:
     return ns["seg_full"], ns["seg_masked"]
 
 
-def _make_eval(inst: Instruction) -> Callable:
-    opcode = inst.opcode
-    if opcode in _RESULT_OPS:
-        ev = _make_alu_eval(inst)
-    elif opcode is Opcode.SELP:
-        ev = _make_selp_eval(inst)
-    elif opcode in (Opcode.SETP, Opcode.FSETP):
-        ev = _make_setp_eval(inst)
-    elif inst.op_class is OpClass.LOAD:
-        ev = _make_load_eval(inst)
-    else:
-        ev = _make_store_eval(inst)
-    if inst.guard is None:
-        return ev
-    # Guarded singleton: the effective mask is only known at issue, so the
-    # evaluator always produces the *raw* full-width row (as the kernels
-    # do) and the step wrapper masks the commit.
-    return lambda ov, pv, warp, mask: ev(ov, pv, warp, None)
-
-
 # ------------------------------------------------------------------- steps
 #
 # A step is the timing half of one issued instruction.  Ordering is an exact
@@ -410,17 +275,13 @@ def _make_alu_step(inst: Instruction, digest: Digest, last: bool) -> Callable:
     groups, nreads, bank_add = _read_sched(inst, ngroups)
     dst = inst.dst.value
     cls_value = inst.op_class.value
-    guarded = inst.guard is not None
     sfu = inst.op_class is OpClass.SFU
 
     def step(rt, warp, slot, cycle, row, lanes, mask):
-        # Guarded singletons never batch (no entry sums — dynamic lanes).
-        batch = rt.batch and not guarded
-        if not batch:
-            rt.c_issued.value += 1
-            rt.c_backend.value += 1
-            b = rt.by_buckets
-            b[cls_value] = b.get(cls_value, 0) + 1
+        rt.c_issued.value += 1
+        rt.c_backend.value += 1
+        b = rt.by_buckets
+        b[cls_value] = b.get(cls_value, 0) + 1
         warp.last_issue_cycle = cycle
         rt.pend_regs[slot].add(dst)
         warp.inflight += 1
@@ -442,7 +303,7 @@ def _make_alu_step(inst: Instruction, digest: Digest, last: bool) -> Callable:
             read_free[group] = busy + 1
             if busy >= ready:
                 ready = busy + 1
-        if nreads and not batch:
+        if nreads:
             rt.rd_req.value += nreads
             rt.rd_bank.value += bank_add
         if retries:
@@ -453,9 +314,8 @@ def _make_alu_step(inst: Instruction, digest: Digest, last: bool) -> Callable:
             if fu < ready:
                 fu = ready
             ex.sfu_free = fu + 1
-            if not batch:
-                rt.c_sfu.value += 1
-                rt.c_sfu_lanes.value += lanes
+            rt.c_sfu.value += 1
+            rt.c_sfu_lanes.value += lanes
             writeback = fu + sfu_latency
         else:
             sp_free = rt.sp_free
@@ -467,9 +327,8 @@ def _make_alu_step(inst: Instruction, digest: Digest, last: bool) -> Callable:
             if fu < ready:
                 fu = ready
             sp_free[pipe] = fu + 1
-            if not batch:
-                rt.c_sp.value += 1
-                rt.c_sp_lanes.value += lanes
+            rt.c_sp.value += 1
+            rt.c_sp_lanes.value += lanes
             writeback = fu + sp_latency
         # Event push, inlined (``SMCore._schedule`` minus the call hop).
         core = rt.core
@@ -484,16 +343,12 @@ def _make_setp_step(inst: Instruction, digest: Digest, last: bool) -> Callable:
     groups, nreads, bank_add = _read_sched(inst, ngroups)
     dst = inst.dst.value
     cls_value = inst.op_class.value
-    guarded = inst.guard is not None
 
     def step(rt, warp, slot, cycle, row, lanes, mask):
-        # Guarded singletons never batch (no entry sums — dynamic lanes).
-        batch = rt.batch and not guarded
-        if not batch:
-            rt.c_issued.value += 1
-            rt.c_backend.value += 1
-            b = rt.by_buckets
-            b[cls_value] = b.get(cls_value, 0) + 1
+        rt.c_issued.value += 1
+        rt.c_backend.value += 1
+        b = rt.by_buckets
+        b[cls_value] = b.get(cls_value, 0) + 1
         warp.last_issue_cycle = cycle
         rt.pend_preds[slot].add(dst)
         warp.inflight += 1
@@ -515,7 +370,7 @@ def _make_setp_step(inst: Instruction, digest: Digest, last: bool) -> Callable:
             read_free[group] = busy + 1
             if busy >= ready:
                 ready = busy + 1
-        if nreads and not batch:
+        if nreads:
             rt.rd_req.value += nreads
             rt.rd_bank.value += bank_add
         if retries:
@@ -529,9 +384,8 @@ def _make_setp_step(inst: Instruction, digest: Digest, last: bool) -> Callable:
         if fu < ready:
             fu = ready
         sp_free[pipe] = fu + 1
-        if not batch:
-            rt.c_sp.value += 1
-            rt.c_sp_lanes.value += lanes
+        rt.c_sp.value += 1
+        rt.c_sp_lanes.value += lanes
         writeback = fu + sp_latency
         core = rt.core
         core._event_seq = seq = core._event_seq + 1
@@ -545,17 +399,13 @@ def _make_load_step(inst: Instruction, digest: Digest, last: bool) -> Callable:
     groups, nreads, bank_add = _read_sched(inst, ngroups)
     dst = inst.dst.value
     cls_value = inst.op_class.value
-    guarded = inst.guard is not None
     space = inst.space
 
     def step(rt, warp, slot, cycle, row, lanes, mask):
-        # Guarded singletons never batch (no entry sums — dynamic lanes).
-        batch = rt.batch and not guarded
-        if not batch:
-            rt.c_issued.value += 1
-            rt.c_backend.value += 1
-            b = rt.by_buckets
-            b[cls_value] = b.get(cls_value, 0) + 1
+        rt.c_issued.value += 1
+        rt.c_backend.value += 1
+        b = rt.by_buckets
+        b[cls_value] = b.get(cls_value, 0) + 1
         warp.last_issue_cycle = cycle
         rt.pend_regs[slot].add(dst)
         warp.inflight += 1
@@ -576,7 +426,7 @@ def _make_load_step(inst: Instruction, digest: Digest, last: bool) -> Callable:
             read_free[group] = busy + 1
             if busy >= ready:
                 ready = busy + 1
-        if nreads and not batch:
+        if nreads:
             rt.rd_req.value += nreads
             rt.rd_bank.value += bank_add
         if retries:
@@ -586,8 +436,7 @@ def _make_load_step(inst: Instruction, digest: Digest, last: bool) -> Callable:
         if fu < ready:
             fu = ready
         ex.mem_free = fu + 1
-        if not batch:
-            rt.c_mem.value += 1
+        rt.c_mem.value += 1
         access_mask = rt.full_mask if mask is None else mask
         result = rt.port_access(space, warp.block.block_id, row, access_mask,
                                 fu, False, None)
@@ -607,19 +456,15 @@ def _make_store_step(inst: Instruction, digest: Digest, last: bool) -> Callable:
     front, _, _, _, ngroups = digest
     groups, nreads, bank_add = _read_sched(inst, ngroups)
     cls_value = inst.op_class.value
-    guarded = inst.guard is not None
     space = inst.space
     shared = space is MemSpace.SHARED
     glob = space is MemSpace.GLOBAL
 
     def step(rt, warp, slot, cycle, row, lanes, mask):
-        # Guarded singletons never batch (no entry sums — dynamic lanes).
-        batch = rt.batch and not guarded
-        if not batch:
-            rt.c_issued.value += 1
-            rt.c_backend.value += 1
-            b = rt.by_buckets
-            b[cls_value] = b.get(cls_value, 0) + 1
+        rt.c_issued.value += 1
+        rt.c_backend.value += 1
+        b = rt.by_buckets
+        b[cls_value] = b.get(cls_value, 0) + 1
         warp.last_issue_cycle = cycle
         # Store flags for load reuse (Section VI-A), as in ``_issue``.
         if shared:
@@ -644,7 +489,7 @@ def _make_store_step(inst: Instruction, digest: Digest, last: bool) -> Callable:
             read_free[group] = busy + 1
             if busy >= ready:
                 ready = busy + 1
-        if nreads and not batch:
+        if nreads:
             rt.rd_req.value += nreads
             rt.rd_bank.value += bank_add
         if retries:
@@ -654,9 +499,8 @@ def _make_store_step(inst: Instruction, digest: Digest, last: bool) -> Callable:
         if fu < ready:
             fu = ready
         ex.mem_free = fu + 1
-        if not batch:
-            rt.c_mem.value += 1
-            rt.c_store.value += 1
+        rt.c_mem.value += 1
+        rt.c_store.value += 1
         access_mask = rt.full_mask if mask is None else mask
         result = rt.port_access(space, warp.block.block_id, row[0],
                                 access_mask, fu, True, row[1])
@@ -716,51 +560,22 @@ def _make_step(inst: Instruction, digest: Digest, last: bool) -> Callable:
 
 # ----------------------------------------------------------- compiled block
 
-def _block_sums(insts) -> Optional[tuple]:
-    """Static per-block counter contributions, applied once at block entry
-    when the runtime batches (``SuperblockRuntime.batch``).  Everything a
-    step would add that does not depend on dynamic contention: instruction
-    and class counts, bank-read requests, and the per-FU instruction
-    counts (lane counters scale these by the entry lane count).  ``None``
-    for guarded singletons, whose lane count is only known at issue."""
-    if any(inst.guard is not None for inst in insts):
-        return None
-    by_class: Dict[str, int] = {}
-    rd_req = sp_n = sfu_n = mem_n = store_n = 0
-    for inst in insts:
-        key = inst.op_class.value
-        by_class[key] = by_class.get(key, 0) + 1
-        rd_req += len(inst.bank_regs)
-        cls = inst.op_class
-        if cls is OpClass.LOAD:
-            mem_n += 1
-        elif cls is OpClass.STORE:
-            mem_n += 1
-            store_n += 1
-        elif cls is OpClass.SFU:
-            sfu_n += 1
-        else:
-            sp_n += 1
-    return (len(insts), tuple(by_class.items()), rd_req, rd_req * _BANKS,
-            sp_n, sfu_n, mem_n, store_n)
-
-
 class CompiledBlock:
-    """One compiled superblock: per-instruction steps plus segment
+    """One compiled superblock: per-instruction steps plus generated row
     evaluators.  Shared by every SM running the same (program, digest)."""
 
-    __slots__ = ("start", "end", "steps", "_evals", "_seg_end", "_seg_fn",
-                 "sums")
+    __slots__ = ("start", "end", "steps", "_insts", "_guarded", "_seg_end",
+                 "_seg_fn")
 
     def __init__(self, program: Program, start: int, end: int,
                  digest: Digest) -> None:
         self.start = start
         self.end = end
-        insts = program.instructions[start:end]
+        insts = self._insts = program.instructions[start:end]
         self.steps = [_make_step(inst, digest, start + i + 1 == end)
                       for i, inst in enumerate(insts)]
-        self._evals = [_make_eval(inst) for inst in insts]
-        self.sums = _block_sums(insts)
+        #: Guarded instructions only ever form singletons.
+        self._guarded = insts[0].guard is not None
         # Segment ends (block-local, exclusive): split *after* each load,
         # because a load's value is only known once memory is read at issue.
         self._seg_end = [0] * len(insts)
@@ -772,37 +587,26 @@ class CompiledBlock:
                 seg_start = i + 1
         for j in range(seg_start, len(insts)):
             self._seg_end[j] = len(insts)
-        #: Fused per-segment evaluators keyed by segment-start index
-        #: (codegen; see :func:`_codegen_segment`).  Guarded singletons keep
-        #: the per-instruction path — their effective mask is applied by the
-        #: guard wrapper at issue — as does mid-segment entry after a
-        #: checkpoint restore.
+        #: Generated ``(full, masked)`` evaluators keyed by block-local entry
+        #: index, compiled the first time a warp enters there (see
+        #: :func:`_codegen_segment`).
         self._seg_fn: Dict[int, tuple] = {}
-        if all(inst.guard is None for inst in insts):
-            i0 = 0
-            while i0 < len(insts):
-                i1 = self._seg_end[i0]
-                self._seg_fn[i0] = _codegen_segment(start, insts, i0, i1)
-                i0 = i1
 
     def eval_rows(self, warp, idx: int, mask: Optional[np.ndarray],
                   rows: Dict[int, object]) -> None:
         """Evaluate rows for block-local indices ``idx .. segment end`` into
         *rows* (keyed by absolute pc).  ``mask is None`` means a full entry
         mask; otherwise rows are blended into committed values (see module
-        docstring)."""
+        docstring).  A guarded singleton always yields the raw row: its
+        step wrapper applies the effective mask at issue."""
         fns = self._seg_fn.get(idx)
-        if fns is not None:
-            if mask is None:
-                fns[0](warp, rows)
-            else:
-                fns[1](warp, rows, mask)
-            return
-        overlay: Dict[int, np.ndarray] = {}
-        pred_overlay: Dict[int, np.ndarray] = {}
-        start = self.start
-        for i in range(idx, self._seg_end[idx]):
-            rows[start + i] = self._evals[i](overlay, pred_overlay, warp, mask)
+        if fns is None:
+            fns = self._seg_fn[idx] = _codegen_segment(
+                self.start, self._insts, idx, self._seg_end[idx])
+        if mask is None or self._guarded:
+            fns[0](warp, rows)
+        else:
+            fns[1](warp, rows, mask)
 
 
 def compiled_table(program: Program, digest: Digest) -> list:
@@ -858,13 +662,6 @@ class SuperblockRuntime:
         #: Lazily refreshed dispatch table (None = needs refresh).
         self.table: Optional[list] = None
         self._off = [None] * len(core.program.instructions)
-        #: Entry-batched counters (``CompiledBlock.sums``) are only safe
-        #: when nothing can observe half-applied sums: the GPU clears
-        #: ``resumable`` for plain runs (no pause, no checkpointing) and
-        #: ``_refresh`` additionally requires the WIR unit to be absent
-        #: (a quarantine flush may invalidate mid-block).
-        self.resumable = True
-        self.batch = False
 
         regfile = core.regfile
         self.read_free = regfile._read_free
@@ -929,7 +726,6 @@ class SuperblockRuntime:
             core._sb_live = None
         else:
             table = compiled_table(core.program, self.digest)
-        self.batch = core.unit is None and not self.resumable
         self.table = table
         return table
 
@@ -964,30 +760,6 @@ class SuperblockRuntime:
             else:
                 state = (block, max(lanes, 1), mask)
             self.entry[slot] = state
-            sums = block.sums
-            if sums is not None and self.batch:
-                # Whole-block static counters, applied once per entry (the
-                # per-instruction values are recomputed exactly — integer
-                # sums — and a batching run can never cut mid-block).
-                n, by_items, rd_req, rd_bank, sp_n, sfu_n, mem_n, store_n = sums
-                self.c_issued.value += n
-                self.c_backend.value += n
-                b = self.by_buckets
-                for key, count in by_items:
-                    b[key] = b.get(key, 0) + count
-                if rd_req:
-                    self.rd_req.value += rd_req
-                    self.rd_bank.value += rd_bank
-                lane_cost = state[1]
-                if sp_n:
-                    self.c_sp.value += sp_n
-                    self.c_sp_lanes.value += sp_n * lane_cost
-                if sfu_n:
-                    self.c_sfu.value += sfu_n
-                    self.c_sfu_lanes.value += sfu_n * lane_cost
-                if mem_n:
-                    self.c_mem.value += mem_n
-                    self.c_store.value += store_n
         rows = self.rows[slot]
         row = rows.pop(pc, None)
         if row is None:

@@ -340,6 +340,23 @@ def test_campaign_resume_unknown_id(capsys, tmp_path, _campaign_cache):
     assert "no campaign 'feedfeedfeed'" in err
 
 
+def test_campaign_work_unknown_id(capsys, tmp_path, _campaign_cache):
+    err = _campaign_cli_error(capsys, "work", "--dir", str(tmp_path),
+                              "--id", "nope", "--worker-id", "w0")
+    assert "no campaign 'nope'" in err
+
+
+def test_campaign_work_malformed_chaos(capsys, tmp_path, _campaign_cache):
+    from repro.campaign import Campaign, MatrixSpec
+
+    campaign = Campaign.create(MatrixSpec.make(["GA"], num_sms=1),
+                               base=tmp_path)
+    err = _campaign_cli_error(capsys, "work", "--dir", str(tmp_path),
+                              "--id", campaign.id, "--worker-id", "w0",
+                              "--chaos", "bogus")
+    assert "malformed chaos spec 'bogus'" in err
+
+
 def test_campaign_old_manifest_is_one_line(capsys, tmp_path,
                                            _campaign_cache):
     from repro.campaign import Campaign, MatrixSpec

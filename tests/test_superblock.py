@@ -1,6 +1,6 @@
 """Property suite for superblock trace compilation (DESIGN.md §16).
 
-Three walls, per the PR's acceptance criteria:
+Three walls:
 
 * **Formation** — on random kernels with branches, barriers, and guarded
   instructions, every compiled range is straight-line (cut at control
@@ -9,25 +9,32 @@ Three walls, per the PR's acceptance criteria:
 * **Caching** — compiled tables are keyed by program *identity* and
   config digest: distinct digests and distinct (even textually equal)
   programs never alias; the same key returns the cached table.
-* **Equivalence** — the fused per-segment evaluators produce rows
-  bit-identical (values *and* dtypes) to the per-instruction overlay
-  path on random register/predicate/mask state, including mid-segment
-  entry (the checkpoint-resume path), and whole random programs run
-  cycle- and output-identical on both engines.
+* **Equivalence** — the generated row evaluators produce rows
+  bit-identical (values *and* dtypes) to the scalar oracle
+  ``exec_engine.execute`` committing instruction by instruction, on
+  random register/predicate/mask state, at every block-local entry index
+  (segment heads, mid-segment entry after a restore, guarded singletons),
+  and whole random programs run cycle- and output-identical on both
+  engines.
 """
+
+import copy
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import Dim3, KernelLaunch, MemoryImage, assemble, model_config
 from repro.isa.opcodes import OpClass
+from repro.isa.program import EXIT_PC
+from repro.sim.exec_engine import execute
 from repro.sim.gpu import GPU
 from repro.sim.grid import WARP_SIZE
 from repro.sim.superblock import (block_leaders, compiled_table,
                                   is_compilable, is_guard_compilable,
                                   superblock_ranges)
+from repro.sim.warp import StackEntry, Warp
 from tests.test_properties import OUT, random_kernel
 
 #: An arbitrary but fixed config digest; the row evaluators under test are
@@ -140,12 +147,21 @@ def test_cache_keys_never_alias():
 # --------------------------------------------------------------- equivalence
 
 class FakeWarp:
-    """The slice of ``Warp`` the row evaluators read."""
+    """The slice of ``Warp`` the row evaluators and the scalar oracle read:
+    random registers and predicates under a one-entry SIMT stack."""
 
-    def __init__(self, rng):
+    read_reg = Warp.read_reg
+    read_pred = Warp.read_pred
+    write_reg = Warp.write_reg
+    write_pred = Warp.write_pred
+    guard_mask = Warp.guard_mask
+    active_mask = Warp.active_mask
+
+    def __init__(self, rng, mask):
         self.registers = rng.integers(0, 2**32, (63, WARP_SIZE),
                                       dtype=np.uint32)
         self.predicates = rng.integers(0, 2, (8, WARP_SIZE)).astype(bool)
+        self.stack = [StackEntry(mask=mask, pc=0, reconv_pc=EXIT_PC)]
         self._tid = np.arange(WARP_SIZE, dtype=np.uint32)
 
     def special_value(self, name):
@@ -153,96 +169,146 @@ class FakeWarp:
             return self._tid
         return np.full(WARP_SIZE, 3, dtype=np.uint32)
 
-
-def _per_inst_rows(block, warp, idx, mask):
-    """The per-instruction overlay path, bypassing the fused functions."""
-    rows = {}
-    overlay, pred_overlay = {}, {}
-    for i in range(idx, block._seg_end[idx]):
-        rows[block.start + i] = block._evals[i](overlay, pred_overlay,
-                                                warp, mask)
-    return rows
+    def copy(self):
+        twin = copy.copy(self)
+        twin.registers = self.registers.copy()
+        twin.predicates = self.predicates.copy()
+        return twin
 
 
-def _assert_rows_equal(fused, ref, context):
-    assert fused.keys() == ref.keys(), context
-    for pc, got in fused.items():
-        want = ref[pc]
-        if isinstance(want, tuple):  # store rows: (addresses, values)
-            pairs = zip(got, want)
+def _entry_mask(rng, full):
+    """``(stack mask, entry mask)``: the entry mask is ``None`` for a full
+    warp, exactly as ``SuperblockRuntime.try_issue`` passes it."""
+    if full:
+        return np.ones(WARP_SIZE, dtype=bool), None
+    mask = rng.integers(0, 2, WARP_SIZE).astype(bool)
+    return mask, (None if mask.all() else mask)
+
+
+def _oracle_row(program, pc, warp):
+    """Issue *pc* through the scalar oracle ``execute``, commit its result
+    into *warp* as the per-instruction path does, and return the row its
+    compiled step must receive: the committed value of an unguarded
+    register or predicate write (steps commit it full-width), the raw
+    result of a guarded singleton (its step wrapper masks at issue), and
+    the address (and store value) vectors of a memory access.  A segment
+    ends at its only load, so no loaded value is ever needed."""
+    inst = program.instructions[pc]
+    res = execute(inst, warp)
+    if inst.op_class is OpClass.LOAD:
+        return res.addresses
+    if inst.op_class is OpClass.STORE:
+        return (res.addresses, res.store_values)
+    dst = inst.dst.value
+    if inst.writes_predicate:
+        raw = res.pred_result
+        warp.write_pred(dst, raw, res.mask)
+        committed = warp.predicates[dst]
+    else:
+        raw = res.result
+        warp.write_reg(dst, raw, res.mask)
+        committed = warp.registers[dst]
+    return raw if inst.guard is not None else committed.copy()
+
+
+def _assert_rows_equal(got, want, context):
+    assert got.keys() == want.keys(), context
+    for pc, got_row in got.items():
+        want_row = want[pc]
+        if isinstance(want_row, tuple):  # store rows: (addresses, values)
+            pairs = zip(got_row, want_row)
         else:
-            pairs = [(got, want)]
-        for got_row, want_row in pairs:
-            assert got_row.dtype == want_row.dtype, (context, pc)
-            assert np.array_equal(got_row, want_row), (context, pc)
+            pairs = [(got_row, want_row)]
+        for g, w in pairs:
+            assert g.dtype == w.dtype, (context, pc)
+            assert np.array_equal(g, w), (context, pc)
 
 
-@given(random_kernel(), st.integers(0, 2**31), st.booleans())
-@settings(max_examples=30, deadline=None)
-def test_fused_segments_match_per_instruction_rows(source, seed, full):
-    """The generated segment functions are bit-identical to the overlay
-    evaluators on random register/predicate state, full and masked."""
-    program = assemble(source, name="sb-eval")
-    rng = np.random.default_rng(seed)
-    mask = None if full else rng.integers(0, 2, WARP_SIZE).astype(bool)
-    table = compiled_table(program, DIGEST)
-    seen = set()
+def _blocks(table):
+    seen = {}
     for entry in table:
-        if entry is None:
-            continue
-        block, _ = entry
-        if id(block) in seen or not block._seg_fn:
-            continue
-        seen.add(id(block))
-        for idx in block._seg_fn:
-            warp = FakeWarp(np.random.default_rng(seed ^ (idx + 1)))
-            fused = {}
-            block.eval_rows(warp, idx, mask, fused)
-            ref = _per_inst_rows(block, warp, idx, mask)
-            _assert_rows_equal(fused, ref, (source, idx))
+        if entry is not None:
+            seen.setdefault(id(entry[0]), entry[0])
+    return list(seen.values())
+
+
+def _segment_heads(block):
+    heads, idx = [], 0
+    while idx < block.end - block.start:
+        heads.append(idx)
+        idx = block._seg_end[idx]
+    return heads
+
+
+#: Guarantees a guarded singleton (``@p0 add``) under a partial mask.
+_GUARDED = ("    mov r0, %tid.x\n    setp.lt p0, r0, 9\n    mov r6, 3\n"
+            "@p0 add r6, r0, 11\n    add r7, r6, r0\n    exit")
 
 
 @given(random_kernel(), st.integers(0, 2**31))
+@example(_GUARDED, 5)
+@settings(max_examples=30, deadline=None)
+def test_fused_segments_match_per_instruction_rows(source, seed):
+    """Entered at a segment head — guarded singletons included — the
+    generated evaluator yields exactly the rows the scalar oracle commits
+    instruction by instruction, values and dtypes, on random register and
+    predicate state under full and masked entry."""
+    program = assemble(source, name="sb-eval")
+    checked = 0
+    for block in _blocks(compiled_table(program, DIGEST)):
+        assert not block._seg_fn, "evaluators compile on first entry"
+        for head in _segment_heads(block):
+            for full in (True, False):
+                rng = np.random.default_rng(seed ^ (head + 1))
+                stack_mask, mask = _entry_mask(rng, full)
+                warp = FakeWarp(rng, stack_mask)
+                got = {}
+                block.eval_rows(warp.copy(), head, mask, got)
+                want = {block.start + i: _oracle_row(
+                            program, block.start + i, warp)
+                        for i in range(head, block._seg_end[head])}
+                _assert_rows_equal(got, want, (source, block.start, head))
+                checked += 1
+    assert checked, source
+
+
+@given(random_kernel(), st.integers(0, 2**31))
+@example(_GUARDED, 5)
 @settings(max_examples=15, deadline=None)
 def test_mid_segment_entry_matches_fused_suffix(source, seed):
-    """The checkpoint-resume path: committing a fused prefix into the
-    registers, then re-evaluating per-instruction from any mid-segment
-    index, reproduces the fused rows exactly."""
+    """The checkpoint-restore and ``invalidate()`` path: once the oracle
+    has committed a segment's prefix, entering at any later index of the
+    segment yields exactly the oracle's remaining rows — the suffix of the
+    rows the segment head's evaluator produced — under full and masked
+    entry."""
     program = assemble(source, name="sb-resume")
-    table = compiled_table(program, DIGEST)
-    seen = set()
-    for entry in table:
-        if entry is None:
-            continue
-        block, _ = entry
-        if id(block) in seen or not block._seg_fn:
-            continue
-        seen.add(id(block))
-        insts = program.instructions[block.start:block.end]
-        for idx, (fused_fn, _) in block._seg_fn.items():
-            end = block._seg_end[idx]
-            if end - idx < 2:
-                continue
-            warp = FakeWarp(np.random.default_rng(seed ^ (idx + 1)))
-            fused = {}
-            fused_fn(warp, fused)
-            for cut in range(idx + 1, end):
-                # Commit the prefix the way the steps do (full entry).
-                resumed = FakeWarp(np.random.default_rng(seed ^ (idx + 1)))
-                for i in range(idx, cut):
-                    inst, row = insts[i], fused[block.start + i]
-                    if inst.writes_register:
-                        resumed.registers[inst.dst.value][:] = row
-                    elif inst.writes_predicate:
-                        resumed.predicates[inst.dst.value][:] = row
-                suffix = _per_inst_rows(block, resumed, cut, None)
-                for pc, want in suffix.items():
-                    got = fused[pc]
-                    if isinstance(want, tuple):
-                        for g, w in zip(got, want):
-                            assert np.array_equal(g, w), (source, pc)
-                    else:
-                        assert np.array_equal(got, want), (source, pc)
+    checked = 0
+    for block in _blocks(compiled_table(program, DIGEST)):
+        for head in _segment_heads(block):
+            end = block._seg_end[head]
+            for full in (True, False):
+                rng = np.random.default_rng(seed ^ (head + 1))
+                stack_mask, mask = _entry_mask(rng, full)
+                warp = FakeWarp(rng, stack_mask)
+                fused = {}
+                block.eval_rows(warp.copy(), head, mask, fused)
+                # One oracle pass over the segment, snapshotting the warp
+                # before each instruction: the state a restore resumes from.
+                before, want = {}, {}
+                for i in range(head, end):
+                    before[i] = warp.copy()
+                    want[block.start + i] = _oracle_row(
+                        program, block.start + i, warp)
+                for cut in range(head + 1, end):
+                    got = {}
+                    block.eval_rows(before[cut], cut, mask, got)
+                    suffix = {pc: want[pc] for pc in got}
+                    context = (source, block.start, cut, full)
+                    _assert_rows_equal(got, suffix, context)
+                    _assert_rows_equal({pc: fused[pc] for pc in got},
+                                       suffix, context)
+                    checked += 1
+    assert checked, source
 
 
 def _run_cycles(source, engine, **trace):
