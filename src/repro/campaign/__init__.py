@@ -11,10 +11,11 @@ loses at most the work since the last checkpoint.
 
 from repro.campaign.engine import (Campaign, CampaignError,
                                    CampaignRunReport, LocalBackend,
-                                   campaign_complete, fold_journal,
-                                   job_state, list_campaigns, run_campaign,
-                                   run_worker, worker_main)
-from repro.campaign.journal import (JournalReadResult, append_record,
+                                   campaign_complete, job_state,
+                                   list_campaigns, run_campaign, run_worker,
+                                   worker_main)
+from repro.campaign.journal import (JobLog, JournalReadResult, JournalTail,
+                                    append_record, fold_journal,
                                     read_journal)
 from repro.campaign.lease import Heartbeat, Lease, LeaseManager
 from repro.campaign.spec import MatrixSpec
@@ -24,7 +25,8 @@ from repro.campaign.status import (CampaignStatus, JobStatus,
 
 __all__ = [
     "Campaign", "CampaignError", "CampaignRunReport", "CampaignStatus",
-    "Heartbeat", "JobStatus", "JournalReadResult", "Lease", "LeaseManager",
+    "Heartbeat", "JobLog", "JobStatus", "JournalReadResult", "JournalTail",
+    "Lease", "LeaseManager",
     "LocalBackend", "MatrixSpec", "aggregate_results", "append_record",
     "campaign_complete", "campaign_status", "fold_journal", "job_state",
     "list_campaigns", "read_journal", "render_status", "run_campaign",

@@ -40,14 +40,14 @@ import signal
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
 import repro.harness.runner as runner
-from repro.ckpt import CheckpointError, atomic_write_text, read_checkpoint
-from repro.campaign.journal import (MAX_ERROR_CHARS, append_record,
-                                    read_journal)
+from repro.ckpt import atomic_write_text
+from repro.campaign.journal import (MAX_ERROR_CHARS, JobLog, JournalTail,
+                                    append_record)
 from repro.campaign.lease import DEFAULT_TTL, Heartbeat, LeaseManager
 from repro.campaign.spec import MatrixSpec
 from repro.harness.runner import JobFailure, RunSpec
@@ -259,50 +259,6 @@ class Campaign:
 
 # ------------------------------------------------------------- journal fold
 
-@dataclass
-class JobLog:
-    """Everything the journal says about one job."""
-
-    digest: str
-    completes: List[Dict] = field(default_factory=list)
-    failures: List[Dict] = field(default_factory=list)
-    reclaims: List[Dict] = field(default_factory=list)
-    claims: List[Dict] = field(default_factory=list)
-    abandons: List[Dict] = field(default_factory=list)
-    quarantined: bool = False
-
-    @property
-    def attempts_consumed(self) -> int:
-        """Attempts this job has burned: raised errors plus worker deaths
-        (each reclaim proves a worker died or stalled out holding it)."""
-        return len(self.failures) + len(self.reclaims)
-
-
-def fold_journal(records: Sequence[Dict]) -> Dict[str, JobLog]:
-    """Fold the record stream into per-job logs (duplicates tolerated)."""
-    logs: Dict[str, JobLog] = {}
-    for record in records:
-        data = record.get("data", {})
-        digest = data.get("job")
-        if not digest:
-            continue
-        log = logs.setdefault(digest, JobLog(digest))
-        kind = record.get("type")
-        if kind == "complete":
-            log.completes.append(data)
-        elif kind == "failed":
-            log.failures.append(data)
-        elif kind == "reclaim":
-            log.reclaims.append(data)
-        elif kind == "claim":
-            log.claims.append(data)
-        elif kind == "abandoned":
-            log.abandons.append(data)
-        elif kind == "quarantine":
-            log.quarantined = True
-    return logs
-
-
 def job_state(log: Optional[JobLog], leased: bool) -> str:
     """One job's state: ``done`` | ``quarantined`` | ``running`` | ``pending``."""
     if log is not None and log.completes:
@@ -315,17 +271,6 @@ def job_state(log: Optional[JobLog], leased: bool) -> str:
 
 
 # ---------------------------------------------------------------- the worker
-
-def _slot_cycle(spec: RunSpec) -> int:
-    """Cycle stored in a job's checkpoint slot (0 = no usable checkpoint)."""
-    path = runner._ckpt_path(spec)
-    if path is None or not path.exists():
-        return 0
-    try:
-        return int(read_checkpoint(path)["state"].get("cycle", 0))
-    except (CheckpointError, TypeError, ValueError):
-        return 0
-
 
 @dataclass
 class WorkerSummary:
@@ -360,10 +305,11 @@ def run_worker(campaign: Campaign, worker_id: str,
     """
     manager = campaign.lease_manager()
     summary = WorkerSummary(worker_id)
+    journal = JournalTail(campaign.journal_path)
     while True:
         if should_stop is not None and should_stop():
             return summary
-        logs = fold_journal(read_journal(campaign.journal_path).records)
+        logs = journal.poll().logs
         live = {lease.job for lease in manager.live()}
         states = {digest: job_state(logs.get(digest), digest in live)
                   for digest in campaign.jobs}
@@ -422,10 +368,10 @@ def _execute_job(campaign: Campaign, manager: LeaseManager, digest: str,
                  spec: RunSpec, attempt: int, worker_id: str, backoff: float,
                  summary: WorkerSummary,
                  progress: Optional[Callable[[str], None]]) -> None:
-    resumed_from = _slot_cycle(spec)
+    resumed: List[int] = []
     with Heartbeat(manager, digest, worker_id) as heartbeat:
         try:
-            runner._obtain_result(spec, campaign.checkpoint_every)
+            runner._obtain_result(spec, campaign.checkpoint_every, resumed)
         except Exception as err:  # noqa: BLE001 - journalled per job
             failure = JobFailure(
                 spec=spec, digest=digest, kind="error",
@@ -460,6 +406,9 @@ def _execute_job(campaign: Campaign, manager: LeaseManager, digest: str,
                      f"(lease lost mid-run, attempt {attempt})")
         return
     result = runner._RESULT_CACHE[spec][0]
+    # The cycle the simulation really resumed from: 0 on a cache hit, a
+    # fresh start, or a slot it refused or dropped.
+    resumed_from = max(resumed, default=0)
     append_record(campaign.journal_path, "complete",
                   {"job": digest, "worker": worker_id, "attempt": attempt,
                    "cycles": result.cycles,
@@ -579,8 +528,11 @@ class CampaignRunReport:
     worker_kills: int = 0
 
 
-def campaign_complete(campaign: Campaign) -> bool:
-    logs = fold_journal(read_journal(campaign.journal_path).records)
+def campaign_complete(campaign: Campaign,
+                      journal: Optional[JournalTail] = None) -> bool:
+    """Whether every job is done or quarantined.  Pass the same *journal*
+    tail to repeated calls so each reads only what was appended since."""
+    logs = (journal or JournalTail(campaign.journal_path)).poll().logs
     return all(
         job_state(logs.get(digest), leased=False) in ("done", "quarantined")
         for digest in campaign.jobs)
@@ -611,12 +563,13 @@ def run_campaign(campaign: Campaign, workers: int = 2,
     respawns = 0
     kills = 0
     fleet: Dict[str, subprocess.Popen] = {}
+    journal = JournalTail(campaign.journal_path)
     for index in range(max(1, workers)):
         worker_id = f"w{index}"
         fleet[worker_id] = backend.spawn(campaign, worker_id, chaos=chaos)
     try:
         while True:
-            done = campaign_complete(campaign)
+            done = campaign_complete(campaign, journal)
             for worker_id, proc in list(fleet.items()):
                 code = proc.poll()
                 if code is None:
@@ -640,7 +593,7 @@ def run_campaign(campaign: Campaign, workers: int = 2,
                 fleet[replacement] = backend.spawn(campaign, replacement,
                                                    chaos=chaos)
             if not fleet:
-                if campaign_complete(campaign):
+                if campaign_complete(campaign, journal):
                     break
                 # Every worker drained out (exit 0) yet jobs remain — a
                 # stale live lease from a dead external worker; one more
@@ -662,7 +615,7 @@ def run_campaign(campaign: Campaign, workers: int = 2,
                 proc.wait(timeout=10.0)
             except subprocess.TimeoutExpired:
                 proc.kill()
-    logs = fold_journal(read_journal(campaign.journal_path).records)
+    logs = journal.poll().logs
     states = [job_state(logs.get(d), leased=False) for d in campaign.jobs]
     return CampaignRunReport(
         campaign_id=campaign.id,

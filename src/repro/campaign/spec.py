@@ -10,12 +10,11 @@ matrix resumes the same campaign instead of starting a second one.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+from repro.ckpt import canonical_sha256
 from repro.harness.runner import EXPERIMENT_SMS, RunSpec
 
 
@@ -85,5 +84,4 @@ class MatrixSpec:
 
     def campaign_id(self) -> str:
         """Stable short identity of the campaign this matrix defines."""
-        canonical = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(canonical.encode()).hexdigest()[:12]
+        return canonical_sha256(self.to_dict())[:12]

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 import repro.harness.runner as runner
-from repro.campaign.engine import Campaign, JobLog, fold_journal, job_state
-from repro.campaign.journal import read_journal
+from repro.campaign.engine import Campaign, job_state
+from repro.campaign.journal import JobLog, JournalTail
 from repro.harness.reporting import format_table
 from repro.sim.gpu import RunResult
 from repro.stats import StatGroup
@@ -90,8 +90,8 @@ def campaign_status(campaign: Campaign,
                     clock: Callable[[], float] = time.time
                     ) -> CampaignStatus:
     """Fold journal + leases + cache into one status snapshot."""
-    journal = read_journal(campaign.journal_path)
-    logs = fold_journal(journal.records)
+    journal = JournalTail(campaign.journal_path).poll()
+    logs = journal.logs
     manager = campaign.lease_manager(clock=clock)
     live = {lease.job: lease for lease in manager.live()}
 
@@ -164,7 +164,7 @@ def aggregate_results(campaign: Campaign
     its checksum are simply skipped (they will rerun on resume), so
     aggregation over a damaged cache degrades instead of crashing.
     """
-    logs = fold_journal(read_journal(campaign.journal_path).records)
+    logs = JournalTail(campaign.journal_path).poll().logs
     results: Dict[str, RunResult] = {}
     for digest in campaign.jobs:
         log = logs.get(digest)

@@ -10,9 +10,10 @@ human-inspectable JSON.
 Layout:
 
 * :mod:`repro.ckpt.codec` — numpy array <-> JSON-safe dict encoding.
-* :mod:`repro.ckpt.snapshot` — the on-disk container: format/schema
-  versioning, SHA-256 checksum, atomic unique-temp-name writes, and
-  read/verify/inspect helpers.
+* :mod:`repro.ckpt.snapshot` — the on-disk container: a header line
+  (format/schema versioning, SHA-256 of the body bytes) before the body,
+  atomic unique-temp-name writes, read/verify/inspect helpers, and the
+  one canonical-JSON checksum recipe the journal and result cache share.
 """
 
 from repro.ckpt.codec import decode_array, encode_array
@@ -21,6 +22,7 @@ from repro.ckpt.snapshot import (
     CKPT_SCHEMA,
     CheckpointError,
     atomic_write_text,
+    canonical_sha256,
     inspect_checkpoint,
     read_checkpoint,
     write_checkpoint,
@@ -31,6 +33,7 @@ __all__ = [
     "CKPT_SCHEMA",
     "CheckpointError",
     "atomic_write_text",
+    "canonical_sha256",
     "decode_array",
     "encode_array",
     "inspect_checkpoint",

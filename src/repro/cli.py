@@ -433,7 +433,11 @@ def _cmd_ckpt_resume(args) -> int:
                               seed=workload_meta["seed"])
     launch = KernelLaunch(workload.program, workload.grid, workload.block,
                           workload.image)
-    result = GPU(config).run(launch, resume=ckpt["state"])
+    try:
+        result = GPU(config).run(launch, resume=ckpt["state"])
+    except CheckpointError as err:
+        print(f"ckpt resume: {args.path}: {err}", file=sys.stderr)
+        return 1
     workload.verify()
     print(f"resumed {workload_meta['abbr']} from cycle "
           f"{ckpt['state']['cycle']} and completed at cycle {result.cycles} "

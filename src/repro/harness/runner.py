@@ -39,7 +39,6 @@ SM count, and it can be overridden per run.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import multiprocessing
 import os
@@ -51,7 +50,8 @@ from pathlib import Path
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple)
 
-from repro.ckpt import CheckpointError, atomic_write_text, read_checkpoint
+from repro.ckpt import (CheckpointError, atomic_write_text, canonical_sha256,
+                        read_checkpoint)
 from repro.core.models import model_config
 from repro.energy import EnergyParams, EnergyReport, compute_energy
 from repro.profiling import RedundancyProfile, RedundancyProfiler
@@ -158,8 +158,7 @@ class RunSpec:
             # default key stays in the hash to keep every address stable.
             "energy": _DEFAULT_ENERGY_KEY,
         }
-        canonical = json.dumps(payload, sort_keys=True)
-        return hashlib.sha256(canonical.encode()).hexdigest()
+        return canonical_sha256(payload)
 
 
 def _energy_key(params: Optional[EnergyParams]) -> Tuple:
@@ -292,13 +291,6 @@ def _cache_path(digest: str) -> Optional[Path]:
     return base / digest[:2] / f"{digest}.json"
 
 
-def _payload_checksum(payload: Dict[str, object]) -> str:
-    """Content checksum over the canonical payload (minus the checksum)."""
-    body = {key: value for key, value in payload.items() if key != "checksum"}
-    canonical = json.dumps(body, sort_keys=True)
-    return hashlib.sha256(canonical.encode()).hexdigest()
-
-
 def _payload_from(spec: RunSpec, result: RunResult,
                   profile: Optional[RedundancyProfile]) -> Dict[str, object]:
     payload = {
@@ -308,7 +300,7 @@ def _payload_from(spec: RunSpec, result: RunResult,
         "result": result.to_dict(),
         "profile": dataclasses.asdict(profile) if profile is not None else None,
     }
-    payload["checksum"] = _payload_checksum(payload)
+    payload["checksum"] = canonical_sha256(payload)
     return payload
 
 
@@ -332,7 +324,7 @@ def _read_payload(path: Path) -> Tuple[str, Optional[Dict[str, object]]]:
         return "corrupt", None
     if payload.get("format") != CACHE_FORMAT:
         return "version", None
-    if payload.get("checksum") != _payload_checksum(payload):
+    if payload.get("checksum") != canonical_sha256(payload, omit="checksum"):
         return "corrupt", None
     return "ok", payload
 
@@ -582,7 +574,8 @@ def _sweep_leases(root: Path, report: CacheReport, prune: bool,
 
 # ---------------------------------------------------------------- simulation
 
-def _simulate(spec: RunSpec, checkpoint_every: Optional[int] = None
+def _simulate(spec: RunSpec, checkpoint_every: Optional[int] = None,
+              resumed_from: Optional[List[int]] = None
               ) -> Tuple[RunResult, Optional[RedundancyProfile],
                          BuiltWorkload]:
     """Run one simulation in this process (no caching).
@@ -590,7 +583,9 @@ def _simulate(spec: RunSpec, checkpoint_every: Optional[int] = None
     ``checkpoint_every`` snapshots the run every N cycles into its slot
     next to the result cache, and resumes from a slot a killed attempt
     left there.  It changes how the run survives, never what it computes,
-    so it is not part of *spec*.
+    so it is not part of *spec*.  *resumed_from*, when given, is appended
+    the cycle the run actually resumed from (0 when it started fresh,
+    including after refusing or dropping the slot).
     """
     if checkpoint_every is not None and checkpoint_every < 1:
         raise ValueError("checkpoint_every must be at least 1 cycle")
@@ -642,7 +637,17 @@ def _simulate(spec: RunSpec, checkpoint_every: Optional[int] = None
             if ckpt is not None and ckpt["meta"] == gpu.checkpoint_meta(launch):
                 resume = ckpt["state"]
 
-    result = gpu.run(launch, resume=resume)
+    try:
+        result = gpu.run(launch, resume=resume)
+    except CheckpointError:
+        if resume is None:
+            raise
+        # The slot's memory delta was taken against another launch image.
+        # The refusal came before the image was touched: restart from 0.
+        resume = None
+        result = gpu.run(launch)
+    if resumed_from is not None:
+        resumed_from.append(resume["cycle"] if resume is not None else 0)
     workload.verify()
     if ckpt_path is not None:
         # The run completed; its checkpoint slot is spent.
@@ -669,8 +674,11 @@ def _worker(spec_data: Dict[str, object],
 
 def _obtain_result(
     spec: RunSpec, checkpoint_every: Optional[int] = None,
+    resumed_from: Optional[List[int]] = None,
 ) -> Tuple[RunResult, Optional[RedundancyProfile], Optional[BuiltWorkload]]:
-    """Result memo -> disk cache -> fresh simulation, in that order."""
+    """Result memo -> disk cache -> fresh simulation, in that order.
+
+    *resumed_from* is as for :func:`_simulate` (left empty on a hit)."""
     cached = _RESULT_CACHE.get(spec)
     if cached is not None:
         COUNTS["memo_hits"] += 1
@@ -681,7 +689,8 @@ def _obtain_result(
         result, profile = _rehydrate(payload)
         entry = (result, profile, None)
     else:
-        result, profile, workload = _simulate(spec, checkpoint_every)
+        result, profile, workload = _simulate(spec, checkpoint_every,
+                                              resumed_from)
         _disk_store(spec, _payload_from(spec, result, profile))
         entry = (result, profile, workload)
     _RESULT_CACHE[spec] = entry

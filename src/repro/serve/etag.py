@@ -14,10 +14,9 @@ the figure name and :data:`~repro.serve.figures.SERVE_SCHEMA`.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import Dict, List
 
+from repro.ckpt import canonical_sha256
 from repro.serve.figures import SERVE_SCHEMA
 
 
@@ -35,8 +34,7 @@ def document_etag(figure: str, digests: Dict[str, Dict[str, str]]) -> str:
     """ETag of a figure/suite document computed from *digests*
     (``{abbr: {role: RunSpec digest}}``)."""
     payload = {"schema": SERVE_SCHEMA, "figure": figure, "runs": digests}
-    canonical = json.dumps(payload, sort_keys=True)
-    return quote("doc-" + hashlib.sha256(canonical.encode()).hexdigest()[:40])
+    return quote("doc-" + canonical_sha256(payload)[:40])
 
 
 def stale_etag(etag: str) -> str:

@@ -16,6 +16,8 @@ spec digests: submitting the same missing set twice — from this process,
 another replica, or after a restart — converges on one durable campaign
 directory.  Job *state* is never stored; it is folded on demand from the
 campaign journal and live leases, exactly like ``repro campaign status``.
+Each job keeps a :class:`~repro.campaign.journal.JournalTail`, so a status
+poll reads only the journal bytes appended since the previous poll.
 """
 
 from __future__ import annotations
@@ -28,9 +30,8 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.campaign.engine import (DEFAULT_MAX_ATTEMPTS, DEFAULT_TTL,
-                                   Campaign, fold_journal, job_state,
-                                   run_worker)
-from repro.campaign.journal import read_journal
+                                   Campaign, job_state, run_worker)
+from repro.campaign.journal import JournalTail
 from repro.harness.runner import RunSpec
 
 #: Test seam: called at the top of every drain-loop iteration (before the
@@ -54,6 +55,11 @@ class Job:
     #: Set if the worker thread itself crashed while draining this job
     #: (job-level simulation failures live in the journal instead).
     worker_error: Optional[str] = None
+    #: The campaign journal, folded incrementally across status polls.
+    journal: JournalTail = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.journal = JournalTail(self.campaign.journal_path)
 
 
 class JobManager:
@@ -196,11 +202,11 @@ class JobManager:
 
     def status(self, job: Job) -> Dict:
         """The job's state document, folded live from campaign storage."""
-        campaign = job.campaign
-        logs = fold_journal(read_journal(campaign.journal_path).records)
-        live = {lease.job for lease in campaign.lease_manager().live()}
-        states = {digest: job_state(logs.get(digest), digest in live)
-                  for digest in job.digests}
+        live = {lease.job for lease in job.campaign.lease_manager().live()}
+        with self._lock:  # one tail per job, shared by request threads
+            logs = job.journal.poll().logs
+            states = {digest: job_state(logs.get(digest), digest in live)
+                      for digest in job.digests}
         return {
             "id": job.id,
             "state": self._overall(job, states),

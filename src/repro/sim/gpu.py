@@ -20,7 +20,7 @@ from repro.ckpt import write_checkpoint
 from repro.isa.program import Program
 from repro.sim.config import GPUConfig
 from repro.sim.grid import Dim3, enumerate_blocks
-from repro.sim.memory.space import MemoryImage
+from repro.sim.memory.space import LaunchBase, MemoryImage
 from repro.sim.memory.subsystem import MemorySubsystem
 from repro.sim.smcore import SMCore, SMCounters
 from repro.stats import StatGroup, dataclass_from_dict, dataclass_to_dict
@@ -258,7 +258,10 @@ class GPU:
 
         With *resume*, restore the checkpointed ``state`` dict (see
         :mod:`repro.ckpt`) instead of starting at cycle 0; the rest of the
-        run is bit-identical to the uninterrupted one.
+        run is bit-identical to the uninterrupted one.  *launch* must carry
+        the launch image the state's memory delta was taken against;
+        otherwise :class:`~repro.ckpt.CheckpointError` is raised before the
+        image is touched.
         """
         status, payload = self._run(launch, resume=resume)
         assert status == "done"
@@ -328,10 +331,17 @@ class GPU:
 
         ckpt_path = self.checkpoint_path
         every = self.checkpoint_every
-        if every is not None and ckpt_path is not None:
+        checkpointing = every is not None and ckpt_path is not None
+        if checkpointing:
             self._check_resumable("checkpoint")
         if resume is not None or stop_cycle is not None:
             self._check_resumable("resume or pause")
+        # Snapshots store global memory as a delta against the launch
+        # image, so capture it now: before the run mutates it, and before a
+        # resume overwrites it.
+        base = (LaunchBase(launch.image)
+                if checkpointing or resume is not None
+                or stop_cycle is not None else None)
 
         all_blocks = list(enumerate_blocks(launch.grid, launch.block))
         if resume is not None:
@@ -341,7 +351,7 @@ class GPU:
             pending = deque(all_blocks[resume["next_block_index"]:])
             for sm, sm_state in zip(sms, resume["sms"]):
                 sm.load_state(sm_state, descriptors.__getitem__)
-            subsystem.load_state(resume["memory"])
+            subsystem.load_state(resume["memory"], base)
             cycle = resume["cycle"]
         else:
             pending = deque(all_blocks)
@@ -378,7 +388,7 @@ class GPU:
                     break
 
         next_ckpt: Optional[int] = None
-        if every is not None and ckpt_path is not None:
+        if checkpointing:
             next_ckpt = (cycle // every + 1) * every
 
         while True:
@@ -387,11 +397,12 @@ class GPU:
             if stop_cycle is not None and cycle >= stop_cycle:
                 return ("paused",
                         self._state_dict(cycle, launch, pending, sms,
-                                         subsystem))
+                                         subsystem, base))
             if next_ckpt is not None and cycle >= next_ckpt:
                 write_checkpoint(
                     ckpt_path,
-                    self._state_dict(cycle, launch, pending, sms, subsystem),
+                    self._state_dict(cycle, launch, pending, sms, subsystem,
+                                     base),
                     meta=self.checkpoint_meta(launch),
                 )
                 next_ckpt = (cycle // every + 1) * every
@@ -455,13 +466,15 @@ class GPU:
         pending: deque,
         sms: List[SMCore],
         subsystem: MemorySubsystem,
+        base: LaunchBase,
     ) -> Dict:
-        """Serializable snapshot of the whole chip at a cycle boundary."""
+        """Serializable snapshot of the whole chip at a cycle boundary,
+        global memory as a delta against the launch image *base*."""
         return {
             "cycle": cycle,
             "next_block_index": launch.total_blocks - len(pending),
             "sms": [sm.state_dict() for sm in sms],
-            "memory": subsystem.state_dict(),
+            "memory": subsystem.state_dict(base),
         }
 
     def checkpoint_meta(self, launch: KernelLaunch) -> Dict:

@@ -8,16 +8,26 @@ A :class:`MemoryImage` bundles the stores for every address space of one
 kernel launch: one global store shared by the whole GPU, one constant and
 one parameter store (read-only), and one scratchpad store per thread block
 (created lazily, since scratchpad address spaces are private per block).
+
+Checkpoints store the global store as a delta against the launch image
+(:class:`LaunchBase`): its ``size_words`` plus the 4 KB pages that differ
+from the launch image zero-extended.  The other stores are small and are
+stored whole.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+import hashlib
+from typing import Dict
 
 import numpy as np
 
 from repro.ckpt.codec import decode_array, encode_array
+from repro.ckpt.snapshot import CheckpointError
 from repro.isa.opcodes import MemSpace
+
+#: Words per page of a global-memory delta (4 KB).
+PAGE_WORDS = 1024
 
 
 class MemorySpaceStore:
@@ -106,6 +116,51 @@ class MemorySpaceStore:
     def load_state(self, state: Dict) -> None:
         self._data = decode_array(state["data"])
 
+    def delta_state(self, base: np.ndarray) -> Dict:
+        """``size_words`` plus the pages that differ from *base*
+        zero-extended to the store's current size."""
+        data = self._data
+        ref = base if base.size == data.size else _extended(base, data.size)
+        starts = np.arange(0, data.size, PAGE_WORDS)
+        pages = np.flatnonzero(np.logical_or.reduceat(data != ref, starts))
+        return {
+            "size_words": int(data.size),
+            "pages": {str(page): encode_array(
+                data[page * PAGE_WORDS:(page + 1) * PAGE_WORDS])
+                for page in pages.tolist()},
+        }
+
+    def load_delta(self, state: Dict, base: np.ndarray) -> None:
+        """Inverse of :meth:`delta_state` against the same *base*."""
+        data = _extended(base, state["size_words"])
+        for page, encoded in state["pages"].items():
+            start = int(page) * PAGE_WORDS
+            words = decode_array(encoded)
+            data[start:start + words.size] = words
+        self._data = data
+
+
+def _extended(base: np.ndarray, size: int) -> np.ndarray:
+    """A fresh copy of *base* truncated or zero-extended to *size* words."""
+    out = np.zeros(size, dtype=np.uint32)
+    out[:min(base.size, size)] = base[:size]
+    return out
+
+
+class LaunchBase:
+    """The global store as launched: what checkpoint deltas are taken
+    against.
+
+    Captured once at run start, before anything runs or a resume
+    overwrites the store, together with its digest: the live store
+    mutates, so the digest cannot be recomputed at each write, and a
+    resume compares it to refuse a delta taken against another image.
+    """
+
+    def __init__(self, image: "MemoryImage") -> None:
+        self.words = image.global_mem._data.copy()
+        self.digest = hashlib.sha256(self.words.tobytes()).hexdigest()
+
 
 class MemoryImage:
     """All backing stores for one kernel launch."""
@@ -129,9 +184,11 @@ class MemoryImage:
         """Free a completed block's scratchpad."""
         self._scratchpads.pop(block_id, None)
 
-    def state_dict(self) -> Dict:
+    def state_dict(self, base: LaunchBase) -> Dict:
+        """Every store, the global one as a delta against *base*."""
         return {
-            "global": self.global_mem.state_dict(),
+            "global": {"base": base.digest,
+                       **self.global_mem.delta_state(base.words)},
             "const": self.const_mem.state_dict(),
             "param": self.param_mem.state_dict(),
             "local": self.local_mem.state_dict(),
@@ -141,8 +198,14 @@ class MemoryImage:
             },
         }
 
-    def load_state(self, state: Dict) -> None:
-        self.global_mem.load_state(state["global"])
+    def load_state(self, state: Dict, base: LaunchBase) -> None:
+        """Restore *state*; refuses (before touching any store) a global
+        delta taken against a launch image other than *base*."""
+        if state["global"].get("base") != base.digest:
+            raise CheckpointError(
+                "checkpoint memory delta was taken against a different "
+                "launch image")
+        self.global_mem.load_delta(state["global"], base.words)
         self.const_mem.load_state(state["const"])
         self.param_mem.load_state(state["param"])
         self.local_mem.load_state(state["local"])

@@ -24,7 +24,7 @@ import numpy as np
 from repro.isa.opcodes import MemSpace
 from repro.sim.config import GPUConfig
 from repro.sim.memory.cache import Cache
-from repro.sim.memory.space import MemoryImage, MemorySpaceStore
+from repro.sim.memory.space import LaunchBase, MemoryImage
 from repro.stats import StatGroup
 
 
@@ -154,8 +154,9 @@ class MemorySubsystem:
         base = self.config.l2_latency - self.config.l1d.hit_latency
         return max(0, noc_delay + (ready - cycle) + base - partition.config.hit_latency)
 
-    def state_dict(self) -> Dict:
-        """Chip-level timing state plus the functional memory image.
+    def state_dict(self, base: LaunchBase) -> Dict:
+        """Chip-level timing state plus the functional memory image
+        (its global store as a delta against *base*).
 
         The DRAM-callback closures inside the L2 partitions are rebuilt at
         construction; ``stats_group()`` aggregates from the restored
@@ -165,16 +166,16 @@ class MemorySubsystem:
             "dram": [channel.state_dict() for channel in self.dram_channels],
             "noc": self.noc.state_dict(),
             "l2": [partition.state_dict() for partition in self.l2_partitions],
-            "image": self.image.state_dict(),
+            "image": self.image.state_dict(base),
         }
 
-    def load_state(self, state: Dict) -> None:
+    def load_state(self, state: Dict, base: LaunchBase) -> None:
         for channel, data in zip(self.dram_channels, state["dram"]):
             channel.load_state(data)
         self.noc.load_state(state["noc"])
         for partition, data in zip(self.l2_partitions, state["l2"]):
             partition.load_state(data)
-        self.image.load_state(state["image"])
+        self.image.load_state(state["image"], base)
 
     @property
     def l2_stats(self) -> Dict[str, int]:

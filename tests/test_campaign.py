@@ -9,11 +9,12 @@ aggregated results are derivable from the directory alone.
 """
 
 import json
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize,
                                  invariant, rule)
@@ -25,8 +26,11 @@ from repro.campaign import (Campaign, CampaignError, Heartbeat, LeaseManager,
                             campaign_complete, campaign_status, fold_journal,
                             job_state, list_campaigns, read_journal,
                             render_status, run_worker)
-from repro.campaign.journal import append_record
-from repro.ckpt import write_checkpoint
+from repro.campaign.journal import JournalTail, append_record
+from repro.ckpt import canonical_sha256, write_checkpoint
+from repro.core.models import model_config
+from repro.sim.gpu import GPU, KernelLaunch
+from repro.workloads import build_workload
 from repro.harness.runner import (JobFailure, RunSpec, clear_cache,
                                   run_benchmark, set_cache_dir,
                                   verify_cache_dir)
@@ -108,6 +112,75 @@ class TestJournal:
         out = read_journal(path)
         assert [r["type"] for r in out.records] == ["claim"]
         assert out.corrupt == 1
+
+
+def _line(kind, job, seq):
+    """The bytes ``append_record`` writes for one record."""
+    record = {"v": 1, "type": kind, "time": float(seq),
+              "data": {"job": job, "seq": seq}}
+    record["sum"] = canonical_sha256(record)
+    return (json.dumps(record, sort_keys=True) + "\n").encode()
+
+
+#: One journal write: a whole record, a torn one (a prefix, perhaps all
+#: but its newline; later appends then continue its line), or a record
+#: with one flipped byte.
+_WRITES = st.tuples(
+    st.sampled_from(("append", "append", "torn", "corrupt")),
+    st.sampled_from(("claim", "complete", "failed", "reclaim", "abandoned",
+                     "quarantine")),
+    st.sampled_from("abc"), st.floats(0.0, 1.0))
+
+
+def _write_bytes(write, seq):
+    action, kind, job, frac = write
+    line = _line(kind, job, seq)
+    if action == "torn":
+        return line[:int(frac * (len(line) - 1))]
+    if action == "corrupt":
+        at = int(frac * (len(line) - 2))
+        return line[:at] + bytes([line[at] ^ 1]) + line[at + 1:]
+    return line
+
+
+class TestJournalTail:
+    @given(writes=st.lists(_WRITES, max_size=12),
+           chunks=st.lists(st.integers(1, 400), max_size=10))
+    @settings(max_examples=80, deadline=None)
+    def test_incremental_read_equals_one_shot_at_every_cut(self, writes,
+                                                           chunks):
+        """Reading a growing journal in random chunks through one tail
+        gives, after every chunk, exactly the one-shot read and fold of
+        the bytes written so far."""
+        raw = b"".join(_write_bytes(write, seq)
+                       for seq, write in enumerate(writes))
+        cuts, end = [], 0
+        for size in chunks:
+            end = min(end + size, len(raw))
+            cuts.append(end)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "journal.jsonl"
+            tail = JournalTail(path)
+            for cut in cuts + [len(raw)]:
+                path.write_bytes(raw[:cut])
+                tail.poll()
+                once = read_journal(path)
+                assert tail.records == once.records
+                assert (tail.corrupt, tail.torn_tail) == (once.corrupt,
+                                                          once.torn_tail)
+                assert tail.logs == fold_journal(once.records)
+
+    def test_poll_reads_only_the_appended_bytes(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        tail = JournalTail(path)
+        append_record(path, "claim", {"job": "a"})
+        assert list(tail.poll().logs) == ["a"]
+        consumed = tail.offset
+        assert consumed == path.stat().st_size
+        append_record(path, "complete", {"job": "a", "cycles": 9})
+        assert read_journal(path, consumed).records[0]["type"] == "complete"
+        assert job_state(tail.poll().logs["a"], leased=False) == "done"
+        assert tail.offset == path.stat().st_size
 
 
 # ------------------------------------------------------------------- leases
@@ -423,6 +496,43 @@ class TestCampaignEndToEnd:
         clean = run_benchmark("GA", "Base", scale=1, num_sms=1)
         assert results[digest].to_json() == clean.result.to_json()
         assert merged == clean.result.stats
+
+    @pytest.mark.parametrize("slot", ["other-run", "other-image"])
+    def test_unusable_slot_journals_resumed_from_zero(self, tmp_path, slot):
+        """The journal records the cycle the simulation really resumed
+        from, not the one a slot holds: a slot from another run (meta
+        mismatch) or another launch image (delta base mismatch) is
+        refused, so the job ran from cycle 0."""
+        set_cache_dir(tmp_path)
+        matrix = MatrixSpec.make(["KM"], models=("RLPV",), scales=(2,))
+        campaign = Campaign.create(matrix, checkpoint_every=400)
+        ((digest, spec),) = campaign.jobs.items()
+        seed = 11 if slot == "other-run" else spec.seed
+        workload = build_workload("KM", scale=2, seed=seed)
+        launch = KernelLaunch(workload.program, workload.grid,
+                              workload.block, workload.image)
+        if slot == "other-image":
+            store = launch.image.global_mem
+            store.write_block(0, store.read_block(0, 1) ^ 1)
+        config = model_config("RLPV")
+        config.num_sms = spec.num_sms
+        gpu = GPU(config)
+        gpu.checkpoint_meta_extra = {
+            "workload": {"abbr": "KM", "scale": 2, "seed": seed}}
+        status, state = gpu.run_to_cycle(launch, 1500)
+        assert status == "paused"
+        write_checkpoint(runner._ckpt_path(spec), state,
+                         meta=gpu.checkpoint_meta(launch))
+
+        assert run_worker(campaign, "w0").completed == 1
+        (complete,) = [record["data"] for record
+                       in read_journal(campaign.journal_path).records
+                       if record["type"] == "complete"]
+        assert complete["resumed_from_cycle"] == 0
+        clear_cache()
+        set_cache_dir(None)
+        clean = run_benchmark("KM", "RLPV", scale=2)
+        assert complete["cycles"] == clean.result.cycles
 
     def test_campaign_results_warm_the_harness_cache(self, tmp_path):
         """A campaign publishes under the digests figures, ``repro query``

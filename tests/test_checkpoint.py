@@ -25,9 +25,10 @@ import repro.ckpt.snapshot as snapshot
 import repro.harness.runner as runner
 import repro.sim.superblock as superblock
 from repro import Dim3, MemoryImage, assemble
-from repro.ckpt import (CheckpointError, atomic_write_text,
+from repro.ckpt import (CheckpointError, atomic_write_text, canonical_sha256,
                         inspect_checkpoint, read_checkpoint,
                         write_checkpoint)
+from repro.cli import main as cli_main
 from repro.core.models import model_config
 from repro.harness.runner import (RunSpec, clear_cache, prefetch,
                                   run_benchmark, set_cache_dir,
@@ -65,6 +66,12 @@ def _launch(abbr="KM", scale=2, seed=7):
 
 def _mem_image(launch):
     return launch.image.global_mem._data.tobytes()
+
+
+def _poke_word(launch):
+    """Flip one bit of one word of *launch*'s global image."""
+    store = launch.image.global_mem
+    store.write_block(0, store.read_block(0, 1) ^ 1)
 
 
 #: Dispatch paths the round-trip tests cover: the scalar oracle, the fast
@@ -204,22 +211,37 @@ class TestContainer:
     def test_corruption_detected(self, tmp_path):
         path = tmp_path / "a.ckpt.json"
         write_checkpoint(path, self.STATE, meta=self.META)
-        text = path.read_text()
+        raw = path.read_bytes()
+        head, body = raw.split(b"\n", 1)
+        header = json.loads(head)
+        assert (header["format"], header["cycle"]) == (snapshot.CKPT_FORMAT, 5)
 
-        path.write_text(text[: len(text) // 2])
+        # Truncation: inside the body the hash no longer matches; inside
+        # the header there is no header line at all.
+        path.write_bytes(raw[:-10])
+        with pytest.raises(CheckpointError, match="checksum"):
+            read_checkpoint(path)
+        path.write_bytes(head[: len(head) // 2])
         with pytest.raises(CheckpointError, match="unreadable"):
             read_checkpoint(path)
 
-        tampered = json.loads(text)
-        tampered["state"]["cycle"] = 6
-        path.write_text(json.dumps(tampered, sort_keys=True))
+        # Body tamper: same length, one changed value.
+        tampered = body.replace(b'"cycle": 5', b'"cycle": 6')
+        assert tampered != body
+        path.write_bytes(head + b"\n" + tampered)
         with pytest.raises(CheckpointError, match="checksum"):
             read_checkpoint(path)
 
-        tampered = json.loads(text)
-        tampered["format"] = 999
-        path.write_text(json.dumps(tampered, sort_keys=True))
+        # Wrong format: a header from another container layout, and a
+        # format-1 file (one JSON object, no header line).
+        path.write_bytes(json.dumps(dict(header, format=999)).encode()
+                         + b"\n" + body)
         with pytest.raises(CheckpointError, match="format"):
+            read_checkpoint(path)
+        path.write_text(json.dumps({"format": 1, "schema": 2,
+                                    "meta": self.META, "state": self.STATE,
+                                    "checksum": "0" * 64}, sort_keys=True))
+        with pytest.raises(CheckpointError, match="unreadable"):
             read_checkpoint(path)
 
         with pytest.raises(CheckpointError, match="no checkpoint"):
@@ -231,6 +253,51 @@ class TestContainer:
         atomic_write_text(path, "second")
         assert path.read_text() == "second"
         assert list(tmp_path.glob("*.tmp")) == []
+
+
+# ------------------------------------------------ global memory as a delta
+
+class TestMemoryDelta:
+    @pytest.mark.parametrize("abbr", ["CU", "KM"])
+    def test_checkpoint_at_2000_cycles_is_at_most_a_mebibyte(
+            self, tmp_path, abbr):
+        config = make_config("RLPV", num_sms=2)
+        _, launch = _launch(abbr, scale=1)
+        gpu = GPU(config)
+        status, state = gpu.run_to_cycle(launch, 2000)
+        assert status == "paused"
+        path = write_checkpoint(tmp_path / "a.ckpt.json", state,
+                                meta=gpu.checkpoint_meta(launch))
+        info = inspect_checkpoint(path)
+        assert info["bytes"] == path.stat().st_size <= 1 << 20
+        # The 2 MB global store: only the pages the kernel wrote so far.
+        store_pages = launch.image.global_mem.size_words // 1024
+        assert 1 <= info["global_pages"] < store_pages // 64
+
+    def test_resume_against_another_launch_image_is_refused(self):
+        config = make_config("RLPV", num_sms=2)
+        _, launch = _launch()
+        status, state = GPU(config).run_to_cycle(launch, 1500)
+        assert status == "paused"
+        _, launch = _launch()
+        _poke_word(launch)
+        before = _mem_image(launch)
+        with pytest.raises(CheckpointError, match="launch image"):
+            GPU(config).run(launch, resume=state)
+        assert _mem_image(launch) == before  # refused before any restore
+
+    def test_cli_resume_refusal_is_one_line_and_exit_1(self, tmp_path,
+                                                       capsys):
+        path = tmp_path / "km.ckpt.json"
+        assert cli_main(["ckpt", "save", "KM", "--cycle", "1500",
+                         "--out", str(path)]) == 0
+        ckpt = read_checkpoint(path)
+        ckpt["state"]["memory"]["image"]["global"]["base"] = "0" * 64
+        write_checkpoint(path, ckpt["state"], meta=ckpt["meta"])
+        capsys.readouterr()
+        assert cli_main(["ckpt", "resume", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "launch image" in err
 
 
 # ------------------------------------------------------- harness integration
@@ -245,14 +312,17 @@ class TestHarnessResume:
         assert not list(Path(tmp_path).rglob("*.ckpt.json"))
         return run.result.to_json()
 
-    def _plant_checkpoint(self, spec, cut):
+    def _plant_checkpoint(self, spec, cut, mutate=None):
         """What a killed worker leaves behind: a valid mid-run checkpoint.
-        The cadence that wrote it is not part of its identity."""
+        The cadence that wrote it is not part of its identity.  *mutate*
+        edits the launch image first (a delta against another image)."""
         config = model_config(spec.model)
         config.num_sms = spec.num_sms
         workload = build_workload(spec.abbr, scale=spec.scale, seed=spec.seed)
         launch = KernelLaunch(workload.program, workload.grid, workload.block,
                               workload.image)
+        if mutate is not None:
+            mutate(launch)
         gpu = GPU(config)
         gpu.checkpoint_meta_extra = {
             "workload": {"abbr": spec.abbr, "scale": spec.scale,
@@ -305,6 +375,43 @@ class TestHarnessResume:
         run = run_benchmark("KM", "RLPV", checkpoint_every=EVERY,
                             **self.SPEC_KW)
         assert run.result.to_json() == base_json
+        assert not path.exists()
+
+    def test_delta_against_another_launch_image_restarts_from_zero(
+            self, tmp_path):
+        set_cache_dir(tmp_path)
+        spec = RunSpec.make("KM", "RLPV", **self.SPEC_KW)
+        plain_json = runner._simulate(spec)[0].to_json()
+        path = self._plant_checkpoint(spec, 1500, mutate=_poke_word)
+        # Same program, geometry and config: only the image differs.
+        assert read_checkpoint(path)["state"]["cycle"] >= 1500
+
+        resumed = []
+        result, _, _ = runner._simulate(spec, EVERY, resumed)
+        assert resumed == [0]
+        assert result.to_json() == plain_json
+        assert not path.exists()
+
+    def test_format_1_slot_restarts_from_zero_and_is_pruned(
+            self, tmp_path, capsys):
+        set_cache_dir(tmp_path)
+        spec = RunSpec.make("KM", "RLPV", **self.SPEC_KW)
+        plain_json = runner._simulate(spec)[0].to_json()
+        path = self._plant_checkpoint(spec, 1500)
+        payload = dict(read_checkpoint(path), format=1)
+        payload["checksum"] = canonical_sha256(payload)
+        old_slot = json.dumps(payload, sort_keys=True)  # the format-1 file
+
+        path.write_text(old_slot)
+        resumed = []
+        result, _, _ = runner._simulate(spec, EVERY, resumed)
+        assert resumed == [0]
+        assert result.to_json() == plain_json
+
+        path.write_text(old_slot)
+        assert cli_main(["cache", "verify", "--dir", str(tmp_path),
+                         "--prune"]) == 0
+        assert "1 orphaned checkpoint slot" in capsys.readouterr().out
         assert not path.exists()
 
     def test_checkpointing_off_without_cache_dir(self, tmp_path):

@@ -23,6 +23,7 @@ import pytest
 
 import repro.campaign.journal as journal
 from repro.campaign.journal import (FSYNC_ENV, append_record, read_journal)
+from repro.ckpt import canonical_sha256
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -133,4 +134,4 @@ class TestSigkillMidAppend:
         for line in path.read_bytes().splitlines()[:-1]:
             record = json.loads(line)
             body = {k: v for k, v in record.items() if k != "sum"}
-            assert record["sum"] == journal._record_checksum(body)
+            assert record["sum"] == canonical_sha256(body)
