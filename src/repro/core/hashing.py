@@ -13,10 +13,35 @@ The property-based tests exercise this invariant.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 #: Bytes in one warp register value (32 lanes x 4 bytes = 1024 bits).
 WARP_REGISTER_BYTES = 128
+
+_UINT32 = np.dtype(np.uint32)
+
+
+@lru_cache(maxsize=16)
+def _build_tables(bits: int, seed: int) -> np.ndarray:
+    """The 128x256 tabulation table of one ``(bits, seed)`` H3 function,
+    built on first use (never at import) and shared read-only by every
+    hasher with those parameters."""
+    rng = np.random.default_rng(seed)
+    # One table per input byte position; entry 0 must be 0 for GF(2)
+    # linearity, which tabulation hashing guarantees by construction:
+    # table[i][b] = XOR of the 8 per-bit masks selected by b's set bits.
+    bit_masks = rng.integers(
+        0, 1 << 32, size=(WARP_REGISTER_BYTES, 8), dtype=np.uint32
+    )
+    tables = np.zeros((WARP_REGISTER_BYTES, 256), dtype=np.uint32)
+    for bit in range(8):
+        selected = np.arange(256) & (1 << bit) != 0
+        tables[:, selected] ^= bit_masks[:, bit : bit + 1]
+    tables &= np.uint32((1 << bits) - 1)
+    tables.flags.writeable = False
+    return tables
 
 
 class H3Hash:
@@ -26,19 +51,7 @@ class H3Hash:
         if not 1 <= bits <= 32:
             raise ValueError("hash width must be between 1 and 32 bits")
         self.bits = bits
-        self._mask = (1 << bits) - 1 if bits < 32 else 0xFFFFFFFF
-        rng = np.random.default_rng(seed)
-        # One table per input byte position; entry 0 must be 0 for GF(2)
-        # linearity, which tabulation hashing guarantees by construction:
-        # table[i][b] = XOR of the 8 per-bit masks selected by b's set bits.
-        bit_masks = rng.integers(
-            0, 1 << 32, size=(WARP_REGISTER_BYTES, 8), dtype=np.uint32
-        )
-        tables = np.zeros((WARP_REGISTER_BYTES, 256), dtype=np.uint32)
-        for bit in range(8):
-            selected = np.arange(256) & (1 << bit) != 0
-            tables[:, selected] ^= bit_masks[:, bit : bit + 1]
-        self._tables = tables & np.uint32(self._mask)
+        self._tables = _build_tables(bits, seed)
         self._positions = np.arange(WARP_REGISTER_BYTES)
         # Signature memo: warp values recur heavily (that redundancy is the
         # whole point of the paper), so identical 128-byte payloads skip the
@@ -50,15 +63,22 @@ class H3Hash:
 
     def hash_value(self, value: np.ndarray) -> int:
         """Hash one warp register value (32 uint32 lanes) to a signature."""
-        data = np.ascontiguousarray(value, dtype=np.uint32).view(np.uint8)
-        if data.size != WARP_REGISTER_BYTES:
-            raise ValueError(
-                f"expected {WARP_REGISTER_BYTES} bytes, got {data.size}"
-            )
-        key = data.tobytes()
+        if (type(value) is np.ndarray and value.dtype is _UINT32
+                and value.size == 32):
+            # ``tobytes`` is C-order whatever the strides: the same bytes
+            # the general path below hashes.
+            key = value.tobytes()
+        else:
+            data = np.ascontiguousarray(value, dtype=np.uint32).view(np.uint8)
+            if data.size != WARP_REGISTER_BYTES:
+                raise ValueError(
+                    f"expected {WARP_REGISTER_BYTES} bytes, got {data.size}"
+                )
+            key = data.tobytes()
         cached = self._memo.get(key)
         if cached is not None:
             return cached
+        data = np.frombuffer(key, dtype=np.uint8)
         words = self._tables[self._positions, data]
         result = int(np.bitwise_xor.reduce(words))
         if len(self._memo) >= self._memo_limit:

@@ -79,10 +79,11 @@ class PhysicalRegisterFile:
     def write(self, reg: int, values: np.ndarray, mask: Optional[np.ndarray] = None) -> None:
         if reg == ZERO_REG:
             raise ValueError("the zero register is read-only")
+        values = values.astype(np.uint32, copy=False)
         if mask is None:
-            self._values[reg] = values.astype(np.uint32)
+            self._values[reg] = values
         else:
-            np.copyto(self._values[reg], values.astype(np.uint32), where=mask)
+            np.copyto(self._values[reg], values, where=mask)
 
     def copy_lanes(self, src: int, dst: int, mask: np.ndarray) -> None:
         """Dummy-MOV semantics: copy *src* lanes selected by *mask* into *dst*."""

@@ -5,11 +5,15 @@ registers to physical warp registers.  An entry holds a 10-bit physical ID,
 a valid bit, and a pin bit (the divergence mechanism of Section V-D).  All
 entries are invalidated at warp initialisation; mappings are written when
 instructions retire.  An invalid entry reads as the shared zero register.
+
+The tables are plain nested lists (``[slot][logical]``): every access is a
+scalar one on the per-instruction path, where indexing a numpy array costs
+a scalar box per read.  Checkpoints still carry them as int32/bool arrays.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -25,19 +29,16 @@ class RenameTables:
     def __init__(self, num_warp_slots: int, refcount: ReferenceCounter) -> None:
         self._refcount = refcount
         self.num_warp_slots = num_warp_slots
-        self._mapping = np.full((num_warp_slots, NUM_LOGICAL_REGS), -1, dtype=np.int32)
-        self._pin = np.zeros((num_warp_slots, NUM_LOGICAL_REGS), dtype=bool)
-        self.reads = 0
-        self.writes = 0
+        self._mapping = [[-1] * NUM_LOGICAL_REGS for _ in range(num_warp_slots)]
+        self._pin = [[False] * NUM_LOGICAL_REGS for _ in range(num_warp_slots)]
 
     def reset_slot(self, slot: int) -> None:
         """Invalidate a slot's table at warp initialisation, dropping refs."""
-        for logical in range(NUM_LOGICAL_REGS):
-            phys = int(self._mapping[slot, logical])
+        for phys in self._mapping[slot]:
             if phys >= 0:
                 self._refcount.decref(phys)
-        self._mapping[slot, :] = -1
-        self._pin[slot, :] = False
+        self._mapping[slot] = [-1] * NUM_LOGICAL_REGS
+        self._pin[slot] = [False] * NUM_LOGICAL_REGS
 
     def lookup(self, slot: int, logical: int) -> int:
         """Physical register currently holding *logical*'s value.
@@ -45,19 +46,18 @@ class RenameTables:
         Invalid entries resolve to the zero register (uninitialised logical
         registers architecturally read zero).
         """
-        self.reads += 1
-        phys = int(self._mapping[slot, logical])
+        phys = self._mapping[slot][logical]
         return phys if phys >= 0 else ZERO_REG
 
     def is_mapped(self, slot: int, logical: int) -> bool:
-        return bool(self._mapping[slot, logical] >= 0)
+        return self._mapping[slot][logical] >= 0
 
     def remap(self, slot: int, logical: int, phys: int) -> None:
         """Point *logical* at *phys*, transferring reference counts."""
-        self.writes += 1
         self._refcount.incref(phys)
-        old = int(self._mapping[slot, logical])
-        self._mapping[slot, logical] = phys
+        row = self._mapping[slot]
+        old = row[logical]
+        row[logical] = phys
         if old >= 0:
             self._refcount.decref(old)
 
@@ -65,31 +65,29 @@ class RenameTables:
 
     def state_dict(self) -> dict:
         return {
-            "mapping": encode_array(self._mapping),
-            "pin": encode_array(self._pin),
-            "reads": self.reads,
-            "writes": self.writes,
+            "mapping": encode_array(np.array(self._mapping, dtype=np.int32)),
+            "pin": encode_array(np.array(self._pin, dtype=bool)),
         }
 
     def load_state(self, state: dict) -> None:
-        # Arrays are restored directly (no remap/decref churn): the matching
+        # Tables are restored directly (no remap/decref churn): the matching
         # reference counts are restored wholesale by the ReferenceCounter.
-        self._mapping[:] = decode_array(state["mapping"])
-        self._pin[:] = decode_array(state["pin"])
-        self.reads = state["reads"]
-        self.writes = state["writes"]
+        # Older slots also carry ``reads``/``writes`` tallies; they
+        # duplicated ``wir.rename_reads``/``rename_writes`` and are ignored.
+        self._mapping = decode_array(state["mapping"]).tolist()
+        self._pin = decode_array(state["pin"]).tolist()
 
     # --- pin bits (Section V-D) ----------------------------------------------
 
     def pin_bit(self, slot: int, logical: int) -> bool:
-        return bool(self._pin[slot, logical])
+        return self._pin[slot][logical]
 
     def set_pin(self, slot: int, logical: int) -> None:
-        self._pin[slot, logical] = True
+        self._pin[slot][logical] = True
 
     def clear_pin(self, slot: int, logical: int) -> None:
-        self._pin[slot, logical] = False
+        self._pin[slot][logical] = False
 
     def mapped_registers(self, slot: int) -> List[int]:
         """Valid physical IDs mapped in one slot (diagnostics/tests)."""
-        return [int(p) for p in self._mapping[slot] if p >= 0]
+        return [p for p in self._mapping[slot] if p >= 0]

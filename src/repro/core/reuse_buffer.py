@@ -24,7 +24,7 @@ still refers to it.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.check.errors import InvariantViolation
 from repro.core.refcount import ReferenceCounter
@@ -39,6 +39,9 @@ Tag = Tuple[int, Tuple[SrcDesc, ...]]
 #: encoding reserved for null).
 NULL_TBID = -1
 
+#: Bound of each buffer's tag -> set memo (cleared wholesale when reached).
+SET_MEMO_LIMIT = 1 << 12
+
 
 class ReuseBufferStats(StatGroup):
     """Reuse-buffer event counts.
@@ -52,10 +55,6 @@ class ReuseBufferStats(StatGroup):
     COUNTERS = ("lookups", "hits", "pending_hits", "retry_drops", "misses",
                 "reservations", "updates", "evictions", "load_hits",
                 "pending_releases")
-
-    @property
-    def total_reuses(self) -> int:
-        return self.hits + self.pending_releases
 
 
 class Waiter:
@@ -136,13 +135,33 @@ class ReuseBuffer:
         self._retry_queue_used = 0
         self._next_token = 0
         self.stats = ReuseBufferStats("rb")
+        handle = self.stats.handle
+        self._c_lookups = handle("lookups")
+        self._c_hits = handle("hits")
+        self._c_pending_hits = handle("pending_hits")
+        self._c_retry_drops = handle("retry_drops")
+        self._c_misses = handle("misses")
+        self._c_reservations = handle("reservations")
+        self._c_updates = handle("updates")
+        self._c_evictions = handle("evictions")
+        self._c_load_hits = handle("load_hits")
+        self._c_pending_releases = handle("pending_releases")
+        #: tag -> set index memo: a pure function of the tag (``_mix``),
+        #: bounded by :data:`SET_MEMO_LIMIT`, and not checkpoint state.
+        self._set_memo: Dict[Tag, int] = {}
         #: Observability hook (per-SM ``SMTraceView`` or ``None``).
         self.tracer = None
 
     # --- helpers -------------------------------------------------------------
 
     def _set_of(self, tag: Tag) -> int:
-        return _mix(tag) & (self._num_sets - 1)
+        memo = self._set_memo
+        set_index = memo.get(tag)
+        if set_index is None:
+            if len(memo) >= SET_MEMO_LIMIT:
+                memo.clear()
+            set_index = memo[tag] = _mix(tag) & (self._num_sets - 1)
+        return set_index
 
     def index_of(self, tag: Tag) -> int:
         """First slot of the set this tag maps to."""
@@ -167,7 +186,7 @@ class ReuseBuffer:
         """
         if not entry.valid:
             return []
-        self.stats.evictions += 1
+        self._c_evictions.value += 1
         if self.tracer is not None:
             self.tracer.component_event(
                 "rb", "rb_evict",
@@ -211,14 +230,17 @@ class ReuseBuffer:
         * ``"queued"`` — matched a pending entry; the waiter was enqueued.
         * ``"miss"`` — no reusable result; the instruction must execute.
         """
-        self.stats.lookups += 1
+        self._c_lookups.value += 1
         if not self.num_entries:
-            self.stats.misses += 1
+            self._c_misses.value += 1
             return "miss", None, 0
         set_index = self._set_of(tag)
-        index = set_index * self.associativity
-        for slot in list(self._lru[set_index]):
-            entry = self._entries[slot]
+        entries = self._entries
+        # The set's order is iterated without a copy: ``_touch`` reorders
+        # it only right before a return, and ``make_waiter`` never touches
+        # the buffer.
+        for slot in self._lru[set_index]:
+            entry = entries[slot]
             match = entry.valid and entry.tag == tag
             if match and is_load:
                 # Load scoping rules (Section VI-A).
@@ -230,9 +252,9 @@ class ReuseBuffer:
                 continue
 
             if not entry.pending:
-                self.stats.hits += 1
+                self._c_hits.value += 1
                 if is_load:
-                    self.stats.load_hits += 1
+                    self._c_load_hits.value += 1
                 self._touch(set_index, slot)
                 return "hit", entry.result_reg, slot
 
@@ -240,14 +262,14 @@ class ReuseBuffer:
                 if self._retry_queue_used < self.retry_queue_entries:
                     self._retry_queue_used += 1
                     entry.waiters.append(make_waiter())
-                    self.stats.pending_hits += 1
+                    self._c_pending_hits.value += 1
                     self._touch(set_index, slot)
                     return "queued", None, slot
-                self.stats.retry_drops += 1
+                self._c_retry_drops.value += 1
             break
 
-        self.stats.misses += 1
-        return "miss", None, index
+        self._c_misses.value += 1
+        return "miss", None, set_index * self.associativity
 
     def reserve(
         self,
@@ -303,7 +325,7 @@ class ReuseBuffer:
         token = self._next_token
         entry.token = token
         self._touch(set_index, index)
-        self.stats.reservations += 1
+        self._c_reservations.value += 1
         # Orphans re-enter the reuse stage only after the entry is coherent;
         # they may evict this very entry again — and allocate further tokens
         # re-entrantly — which is safe because the retire-time fill checks
@@ -330,14 +352,14 @@ class ReuseBuffer:
         waiters = entry.waiters
         entry.waiters = []
         self._retry_queue_used -= len(waiters)
-        self.stats.updates += 1
-        self.stats.pending_releases += len(waiters)
+        self._c_updates.value += 1
+        self._c_pending_releases.value += len(waiters)
         if self.tracer is not None:
             self.tracer.component_event(
                 "rb", "rb_fill",
                 {"index": index, "reg": result_reg, "waiters": len(waiters)})
         if entry.is_load:
-            self.stats.load_hits += len(waiters)
+            self._c_load_hits.value += len(waiters)
         return waiters
 
     def evict_index(self, index: int) -> bool:

@@ -64,6 +64,12 @@ class ValueSignatureBuffer:
             for s in range(self._num_sets)
         ]
         self.stats = VSBStats("vsb")
+        handle = self.stats.handle
+        self._c_lookups = handle("lookups")
+        self._c_hits = handle("hits")
+        self._c_misses = handle("misses")
+        self._c_insertions = handle("insertions")
+        self._c_evictions = handle("evictions")
         #: Observability hook (per-SM ``SMTraceView`` or ``None``).
         self.tracer = None
 
@@ -86,18 +92,18 @@ class ValueSignatureBuffer:
 
     def lookup(self, hash_value: int) -> Optional[int]:
         """Candidate physical register for *hash_value*, or ``None``."""
-        self.stats.lookups += 1
+        self._c_lookups.value += 1
         if not self.num_entries:
-            self.stats.misses += 1
+            self._c_misses.value += 1
             return None
         set_index = self._set_of(hash_value)
         for slot in self._lru[set_index]:
             entry = self._entries[slot]
             if entry.valid and entry.hash_value == hash_value:
-                self.stats.hits += 1
+                self._c_hits.value += 1
                 self._touch(set_index, slot)
                 return entry.reg
-        self.stats.misses += 1
+        self._c_misses.value += 1
         return None
 
     def insert(self, hash_value: int, reg: int) -> None:
@@ -122,7 +128,7 @@ class ValueSignatureBuffer:
             victim = self._lru[set_index][0]
         entry = self._entries[victim]
         if entry.valid:
-            self.stats.evictions += 1
+            self._c_evictions.value += 1
             if self.tracer is not None:
                 self.tracer.component_event("vsb", "vsb_evict",
                                             {"reg": entry.reg})
@@ -132,7 +138,7 @@ class ValueSignatureBuffer:
         entry.hash_value = hash_value
         entry.reg = reg
         self._touch(set_index, victim)
-        self.stats.insertions += 1
+        self._c_insertions.value += 1
         if self.tracer is not None:
             self.tracer.component_event("vsb", "vsb_insert", {"reg": reg})
 
@@ -143,7 +149,7 @@ class ValueSignatureBuffer:
         entry = self._entries[index % self.num_entries]
         if not entry.valid:
             return False
-        self.stats.evictions += 1
+        self._c_evictions.value += 1
         if self.tracer is not None:
             self.tracer.component_event("vsb", "vsb_evict", {"reg": entry.reg})
         self._refcount.decref(entry.reg)

@@ -96,7 +96,7 @@ class WIRCounters(StatGroup):
                 "low_register_mode_entries", "quarantines")
 
 
-@dataclass
+@dataclass(slots=True)
 class IssueDecision:
     """Outcome of the rename + reuse stages for one instruction."""
 
@@ -156,6 +156,8 @@ class WIRUnit:
         self.counters.adopt(self.reuse_buffer.stats)
         self.counters.adopt(self.vsb.stats)
         self.counters.adopt(self.verify_cache.stats)
+        self._c_rename_reads = self.counters.handle("rename_reads")
+        self._c_allocator_ops = self.counters.handle("allocator_ops")
 
         # Capped-register policy state.
         self._register_cap = config.num_physical_registers
@@ -219,15 +221,11 @@ class WIRUnit:
             self._plans[id(inst)] = plan
         return plan
 
-    def rename_sources(self, warp: Warp, inst: Instruction) -> Tuple[Tuple[int, ...], Tuple]:
-        """Rename source registers; returns (phys ids, tag source descriptors)."""
-        return self.rename_with_plan(warp, self.plan_of(inst))
-
     def rename_with_plan(
         self, warp: Warp, plan: "_SourcePlan"
     ) -> Tuple[Tuple[int, ...], Tuple]:
-        if plan.num_reg_reads:
-            self.counters.rename_reads += plan.num_reg_reads
+        """Rename source registers; returns (phys ids, tag source descriptors)."""
+        self._c_rename_reads.value += plan.num_reg_reads
         slot = warp.warp_slot
         lookup = self.rename.lookup
         phys: List[int] = []
@@ -242,9 +240,6 @@ class WIRUnit:
             else:
                 descs.append(payload)
         return tuple(phys), tuple(descs)
-
-    def make_tag(self, inst: Instruction, descs: Tuple) -> Tag:
-        return (_OPCODE_INDEX[inst.opcode], descs)
 
     # --------------------------------------------- reuse-eligibility helpers
 
@@ -296,7 +291,7 @@ class WIRUnit:
         return reg
 
     def _allocate_register_inner(self) -> int:
-        self.counters.allocator_ops += 1
+        self._c_allocator_ops.value += 1
         if self.physfile.in_use < self._register_cap:
             reg = self.physfile.allocate()
             if reg is not None:

@@ -25,10 +25,6 @@ class CacheStats(StatGroup):
     COUNTERS = ("accesses", "hits", "misses", "mshr_merges", "mshr_stalls",
                 "evictions", "writebacks")
 
-    @property
-    def miss_rate(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
-
     def snapshot(self) -> Dict[str, int]:
         return self.counters()
 
@@ -53,7 +49,6 @@ class Cache:
         self._miss_latency = miss_latency
         self.stats = CacheStats(name)
         self._num_sets = config.num_sets
-        self._line_shift = config.line_bytes.bit_length() - 1
         # Hot-path hoists: ``access`` reads these once per coalesced line.
         self._hit_latency = config.hit_latency
         self._ways = config.ways
@@ -79,9 +74,6 @@ class Cache:
 
     def _set_index(self, line_addr: int) -> int:
         return line_addr % self._num_sets
-
-    def line_address(self, byte_addr: int) -> int:
-        return byte_addr >> self._line_shift
 
     def contains(self, line_addr: int) -> bool:
         """Tag probe without side effects (used by tests)."""

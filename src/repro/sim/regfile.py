@@ -53,9 +53,6 @@ class RegisterFileTiming:
         self._c_bank_writes = counters["bank_writes"]
         self._c_verify_reads = counters["verify_read_requests"]
 
-    def group_of(self, reg_id: int) -> int:
-        return reg_id % self.num_groups
-
     def schedule_read(
         self, reg_id: int, cycle: int, affine: bool = False, verify: bool = False
     ) -> int:

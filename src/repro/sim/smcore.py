@@ -68,9 +68,6 @@ class SMCounters(StatGroup):
                 "blocks_completed", "warps_completed")
     HISTOGRAMS = ("issued_by_class",)
 
-    def note_class(self, cls: OpClass) -> None:
-        self.handle("issued_by_class").increment(cls.value)
-
 
 class _BlockState:
     """Lifecycle bookkeeping for one resident thread block."""

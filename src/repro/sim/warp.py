@@ -210,7 +210,8 @@ class Warp:
         return self.registers[index]
 
     def write_reg(self, index: int, values: np.ndarray, mask: np.ndarray) -> None:
-        np.copyto(self.registers[index], values.astype(np.uint32), where=mask)
+        np.copyto(self.registers[index], values.astype(np.uint32, copy=False),
+                  where=mask)
 
     def read_pred(self, index: int) -> np.ndarray:
         return self.predicates[index]

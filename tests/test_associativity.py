@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.physreg import PhysicalRegisterFile
 from repro.core.refcount import ReferenceCounter
-from repro.core.reuse_buffer import NULL_TBID, ReuseBuffer
+from repro.core.reuse_buffer import NULL_TBID, ReuseBuffer, Waiter
 from repro.core.vsb import ValueSignatureBuffer
 from tests.conftest import OUT, SIMPLE_ARITH, run_kernel
 
@@ -90,6 +90,49 @@ class TestAssociativeReuseBuffer:
         for tag, result in zip(tags, results):
             outcome, got, _ = buffer.lookup(tag, False, 0, 0, False)
             assert outcome == "hit" and got == result
+
+    def _same_set_tags(self, buffer, counter, count):
+        tags, want_set, reg = [], None, 1
+        while len(tags) < count:
+            counter.incref(reg)
+            tag = (3, (("r", reg),))
+            if want_set is None:
+                want_set = buffer.index_of(tag)
+            if buffer.index_of(tag) == want_set:
+                tags.append(tag)
+            reg += 1
+        return tags, want_set // buffer.associativity
+
+    def test_probe_reorders_the_set_it_walks(self, machinery):
+        """``lookup`` walks the set's LRU order without copying it; a hit or
+        a queued waiter reorders that order and returns at once, so every
+        way is still found and recency stays exact."""
+        physfile, counter = machinery
+        buffer = self.make(counter, assoc=4)
+        tags, set_index = self._same_set_tags(buffer, counter, 5)
+        results = {}
+        for tag in tags[:3]:
+            results[tag] = physfile.allocate()
+            counter.incref(results[tag])
+            self._fill(buffer, tag, results[tag])
+        buffer.reserve(tags[3], False, 0, NULL_TBID)   # pending, 4th way
+        first = buffer._lru[set_index][0]
+        for tag in (tags[2], tags[0], tags[1], tags[2]):
+            outcome, got, slot = buffer.lookup(tag, False, 0, 0, False)
+            assert (outcome, got) == ("hit", results[tag])
+            assert buffer._lru[set_index][-1] == slot
+        waiter = Waiter(lambda reg: None)
+        outcome, _, slot = buffer.lookup(tags[3], False, 0, 0, True,
+                                         make_waiter=lambda: waiter)
+        assert outcome == "queued" and buffer._lru[set_index][-1] == slot
+        assert buffer._lru[set_index][0] == first   # tags[0]'s way again
+        assert sorted(buffer._lru[set_index]) == list(
+            range(set_index * 4, set_index * 4 + 4))
+        # The LRU way (tags[0]'s, probed longest ago) is the next victim.
+        buffer.reserve(tags[4], False, 0, NULL_TBID)
+        assert buffer.lookup(tags[0], False, 0, 0, False)[0] == "miss"
+        assert buffer.lookup(tags[1], False, 0, 0, False)[0] == "hit"
+        buffer.check_invariants(counter)
 
     def test_kernel_level_effect_is_marginal(self):
         """The paper's observation: associative search adds little.

@@ -1,5 +1,6 @@
 """Repo hygiene guards (run in CI's lint job and as plain tests)."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -47,3 +48,51 @@ def test_no_duplicated_decision_logic():
         for marker in ("load_may_reuse", "lookup_outcome", "verify_reads",
                        "hash_generations"):
             assert marker not in text, f"{rel} reimplements {marker}"
+
+
+#: Cold paths allowed to bump a counter through ``StatGroup`` attribute
+#: access: (file under src/repro, enclosing function, counter).
+COLD_COUNTER_BUMPS = {
+    ("core/vsb.py", "note_false_positive", "false_positives"),
+    ("core/wir_unit.py", "_allocate_register_inner",
+     "low_register_mode_entries"),
+}
+
+
+def _counter_bumps(path: Path):
+    """``(function, counter)`` of every ``<expr>.stats.<name> op= ...`` or
+    ``<expr>.counters.<name> op= ...`` in one source file."""
+    tree = ast.parse(path.read_text())
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            target = getattr(node, "target", None)
+            if (isinstance(node, ast.AugAssign)
+                    and isinstance(target, ast.Attribute)
+                    and isinstance(target.value, ast.Attribute)
+                    and target.value.attr in ("stats", "counters")):
+                found.append((func.name, target.attr))
+    return found
+
+
+def test_hot_counters_use_preloaded_handles():
+    """Counters in the WIR structures and pipeline stages are bumped
+    through ``StatGroup.handle`` objects, not attribute magic (DESIGN.md
+    §8); only the listed cold paths are exempt."""
+    src = REPO / "src" / "repro"
+    bumps = {(path.relative_to(src).as_posix(), func, counter)
+             for package in ("core", "pipeline")
+             for path in sorted((src / package).rglob("*.py"))
+             for func, counter in _counter_bumps(path)}
+    assert bumps - COLD_COUNTER_BUMPS == set()
+    assert COLD_COUNTER_BUMPS - bumps == set(), "stale allowlist entry"
+
+
+def test_counter_bump_scanner_sees_attribute_magic(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("def f(self):\n    self.stats.hits += 1\n"
+                      "    self.unit.counters.reads -= 2\n"
+                      "    self._c_hits.value += 1\n")
+    assert _counter_bumps(sample) == [("f", "hits"), ("f", "reads")]
