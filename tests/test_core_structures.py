@@ -167,6 +167,15 @@ class TestVerifyCache:
         assert not cache.access(1)
         assert cache.stats.accesses == 0
 
+    def test_negative_size_disables_the_cache(self):
+        cache = VerifyCache(-3)
+        assert not cache.enabled
+        assert not cache.access(1)
+        assert not cache.access(1)
+        cache.invalidate(1)
+        assert cache.stats.accesses == 0
+        assert cache.stats.invalidations == 0
+
 
 class TestAffine:
     def test_is_affine_value_cases(self):
