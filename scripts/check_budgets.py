@@ -25,7 +25,7 @@ BUDGETS = {
 }
 
 #: Maximum total line count of every ``*.py`` file under ``src/``.
-SRC_TOTAL_BUDGET = 19683
+SRC_TOTAL_BUDGET = 19717
 
 
 def repo_root() -> Path:

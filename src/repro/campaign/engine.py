@@ -386,7 +386,7 @@ def _execute_job(campaign: Campaign, manager: LeaseManager, digest: str,
             if progress is not None:
                 progress(f"{worker_id}: {spec.abbr}/{spec.model} failed "
                          f"(attempt {attempt}): {failure.error}")
-            runner._retry_wait(backoff, attempt - 1)
+            time.sleep(runner._retry_delay(backoff, attempt - 1))
             return
     if heartbeat.lost:
         # The lease expired and may already be reclaimed: the reclaimer

@@ -64,6 +64,9 @@ def append_record(path: Path, type: str, data: Dict,
 
     The append is a single ``write(2)`` on an ``O_APPEND`` descriptor, so
     records from concurrent workers land whole and in *some* total order.
+    A journal whose last byte is not a newline (a writer killed
+    mid-append) gets one first, in the same write, so the new record
+    never continues the torn line.
     """
     record = {
         "v": RECORD_VERSION,
@@ -74,8 +77,11 @@ def append_record(path: Path, type: str, data: Dict,
     record["sum"] = canonical_sha256(record)
     line = (json.dumps(record, sort_keys=True) + "\n").encode()
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+    fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
     try:
+        size = os.fstat(fd).st_size
+        if size and os.pread(fd, 1, size - 1) != b"\n":
+            line = b"\n" + line  # racing healers leave an empty line
         os.write(fd, line)
         if os.environ.get(FSYNC_ENV) == "1":
             os.fsync(fd)
@@ -119,6 +125,9 @@ def read_journal(path: Path, offset: int = 0) -> JournalReadResult:
     lines = raw.split(b"\n")
     fragment = lines.pop()  # b"" when the read ends on a newline
     for index, line in enumerate(lines):
+        if not line:  # a healed torn tail; not a record
+            out.offset += 1
+            continue
         record = _verify_line(line)
         if record is not None:
             out.records.append(record)

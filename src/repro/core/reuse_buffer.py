@@ -220,14 +220,16 @@ class ReuseBuffer:
         consumer_barrier_count: int,
         consumer_tbid: int,
         pending_retry: bool,
-        make_waiter: Optional[Callable[[], Waiter]] = None,
+        make_waiter: Optional[Callable[..., Waiter]] = None,
+        waiter_args: Tuple = (),
     ) -> Tuple[str, Optional[int], int]:
         """Probe the buffer at the reuse stage.
 
         Returns ``(outcome, result_reg, index)`` where outcome is:
 
         * ``"hit"`` — result available; ``result_reg`` holds it.
-        * ``"queued"`` — matched a pending entry; the waiter was enqueued.
+        * ``"queued"`` — matched a pending entry; the waiter built by
+          ``make_waiter(*waiter_args)`` (only then) was enqueued.
         * ``"miss"`` — no reusable result; the instruction must execute.
         """
         self._c_lookups.value += 1
@@ -261,7 +263,7 @@ class ReuseBuffer:
             if pending_retry and make_waiter is not None:
                 if self._retry_queue_used < self.retry_queue_entries:
                     self._retry_queue_used += 1
-                    entry.waiters.append(make_waiter())
+                    entry.waiters.append(make_waiter(*waiter_args))
                     self._c_pending_hits.value += 1
                     self._touch(set_index, slot)
                     return "queued", None, slot

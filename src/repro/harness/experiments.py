@@ -9,7 +9,7 @@ that produces them.
 
 Every driver takes ``jobs=N``: the full set of runs it needs is declared up
 front as :class:`~repro.harness.runner.RunSpec` values and prefetched
-through the worker pool, after which assembly reads from the memo.  Results
+by worker processes, after which assembly reads from the memo.  Results
 are identical for any ``jobs`` value.
 
 Measurements are read from the run's stats registry by dotted path:

@@ -44,7 +44,6 @@ import multiprocessing
 import os
 import random
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
@@ -205,6 +204,9 @@ _RESULT_CACHE: Dict[RunSpec, Tuple[RunResult, Optional[RedundancyProfile],
 #: call's ``EnergyReport``.
 _RUN_CACHE: Dict[Tuple[RunSpec, Tuple], BenchmarkRun] = {}
 
+#: spec -> default-parameter EnergyReport of its memoised result.
+_ENERGY_CACHE: Dict[RunSpec, EnergyReport] = {}
+
 #: Observable effort counters (tests and the CLI read these).
 COUNTS = {"simulations": 0, "memo_hits": 0, "disk_hits": 0, "disk_writes": 0,
           "disk_corrupt": 0}
@@ -282,6 +284,7 @@ def clear_cache() -> None:
     """Drop the in-process memos (the on-disk cache is left alone)."""
     _RESULT_CACHE.clear()
     _RUN_CACHE.clear()
+    _ENERGY_CACHE.clear()
 
 
 def _cache_path(digest: str) -> Optional[Path]:
@@ -329,6 +332,15 @@ def _read_payload(path: Path) -> Tuple[str, Optional[Dict[str, object]]]:
     return "ok", payload
 
 
+def _unlink(path: Path) -> bool:
+    """Delete *path*; whether it is gone now (an error just leaves it)."""
+    try:
+        path.unlink()
+        return True
+    except OSError:
+        return False
+
+
 def _disk_load(spec: RunSpec) -> Optional[Dict[str, object]]:
     path = _cache_path(spec.digest())
     if path is None or not path.exists():
@@ -341,10 +353,7 @@ def _disk_load(spec: RunSpec) -> Optional[Dict[str, object]]:
         # A damaged entry must never masquerade as a result: drop it and
         # let the caller re-simulate into a fresh slot.
         COUNTS["disk_corrupt"] += 1
-        try:
-            path.unlink()
-        except OSError:
-            pass
+        _unlink(path)
     return None
 
 
@@ -367,6 +376,15 @@ def lookup_result(spec: RunSpec) -> Optional[Tuple[RunResult,
     result, profile = _rehydrate(payload)
     _RESULT_CACHE[spec] = (result, profile, None)
     return result, profile
+
+
+def default_energy(spec: RunSpec, result: RunResult) -> EnergyReport:
+    """``compute_energy(result)`` for *spec*'s memoised *result*, computed
+    once per spec (serve answers every cache hit with it)."""
+    report = _ENERGY_CACHE.get(spec)
+    if report is None:
+        report = _ENERGY_CACHE[spec] = compute_energy(result)
+    return report
 
 
 def _disk_store(spec: RunSpec, payload: Dict[str, object]) -> None:
@@ -456,12 +474,8 @@ def verify_cache_dir(base: Optional[os.PathLike] = None,
         status, payload = _read_payload(path)
         if status == "ok" and not _addressable(payload, path.stem):
             report.unaddressable += 1
-            if prune:
-                try:
-                    path.unlink()
-                    report.unaddressable_pruned += 1
-                except OSError:
-                    pass
+            if prune and _unlink(path):
+                report.unaddressable_pruned += 1
         elif status == "ok":
             report.ok += 1
         elif status == "version":
@@ -469,12 +483,8 @@ def verify_cache_dir(base: Optional[os.PathLike] = None,
         else:
             report.corrupt += 1
             report.corrupt_paths.append(str(path))
-            if prune:
-                try:
-                    path.unlink()
-                    report.pruned += 1
-                except OSError:
-                    pass
+            if prune and _unlink(path):
+                report.pruned += 1
     for path in sorted(root.rglob("*.tmp")):
         # A young temp file may be a live writer mid-publish (a serving
         # process, a campaign worker): deleting it would race the final
@@ -487,12 +497,8 @@ def verify_cache_dir(base: Optional[os.PathLike] = None,
             report.tmp_fresh += 1
             continue
         report.tmp_orphans += 1
-        if prune:
-            try:
-                path.unlink()
-                report.tmp_pruned += 1
-            except OSError:
-                pass
+        if prune and _unlink(path):
+            report.tmp_pruned += 1
     _sweep_ckpt_slots(root, report, prune, now)
     _sweep_leases(root, report, prune, now)
     return report
@@ -545,12 +551,8 @@ def _sweep_ckpt_slots(root: Path, report: CacheReport, prune: bool,
                 orphaned = True  # unreadable: worth nothing on resume
         if orphaned:
             report.ckpt_orphans += 1
-            if prune:
-                try:
-                    path.unlink()
-                    report.ckpt_pruned += 1
-                except OSError:
-                    pass
+            if prune and _unlink(path):
+                report.ckpt_pruned += 1
 
 
 def _sweep_leases(root: Path, report: CacheReport, prune: bool,
@@ -564,12 +566,8 @@ def _sweep_leases(root: Path, report: CacheReport, prune: bool,
             expired = True  # cannot prove liveness: safe to break
         if expired:
             report.lease_expired += 1
-            if prune:
-                try:
-                    path.unlink()
-                    report.lease_pruned += 1
-                except OSError:
-                    pass
+            if prune and _unlink(path):
+                report.lease_pruned += 1
 
 
 # ---------------------------------------------------------------- simulation
@@ -630,10 +628,7 @@ def _simulate(spec: RunSpec, checkpoint_every: Optional[int] = None,
                 # A damaged checkpoint is worth exactly nothing: drop it
                 # and restart from cycle 0.
                 ckpt = None
-                try:
-                    ckpt_path.unlink()
-                except OSError:
-                    pass
+                _unlink(ckpt_path)
             if ckpt is not None and ckpt["meta"] == gpu.checkpoint_meta(launch):
                 resume = ckpt["state"]
 
@@ -651,10 +646,7 @@ def _simulate(spec: RunSpec, checkpoint_every: Optional[int] = None,
     workload.verify()
     if ckpt_path is not None:
         # The run completed; its checkpoint slot is spent.
-        try:
-            ckpt_path.unlink()
-        except OSError:
-            pass
+        _unlink(ckpt_path)
 
     merged: Optional[RedundancyProfile] = None
     if profilers:
@@ -664,12 +656,17 @@ def _simulate(spec: RunSpec, checkpoint_every: Optional[int] = None,
     return result, merged, workload
 
 
-def _worker(spec_data: Dict[str, object],
-            checkpoint_every: Optional[int]) -> Dict[str, object]:
-    """Pool worker: simulate one spec and return the serialized payload."""
-    spec = RunSpec.from_dict(spec_data)
-    result, profile, _ = _simulate(spec, checkpoint_every)
-    return _payload_from(spec, result, profile)
+def _worker(conn, spec_data: Dict[str, object],
+            checkpoint_every: Optional[int]) -> None:
+    """Job process: simulate one spec and send ``("ok", payload)`` or
+    ``("error", text)`` back over *conn*."""
+    try:
+        spec = RunSpec.from_dict(spec_data)
+        result, profile, _ = _simulate(spec, checkpoint_every)
+        message = ("ok", _payload_from(spec, result, profile))
+    except Exception as err:  # noqa: BLE001 - reported per spec
+        message = ("error", f"{type(err).__name__}: {err}")
+    conn.send(message)
 
 
 def _obtain_result(
@@ -757,9 +754,9 @@ def _failure(spec: RunSpec, kind: str, error: str,
 MAX_RETRY_WAIT = 30.0
 
 
-def _retry_wait(backoff: float, attempt: int,
-                rng: "random.Random" = random) -> None:
-    """Sleep before a retry: exponential backoff with **full jitter**.
+def _retry_delay(backoff: float, attempt: int,
+                 rng: "random.Random" = random) -> float:
+    """Seconds before a retry: exponential backoff with **full jitter**.
 
     The wait is drawn uniformly from ``[0, backoff * 2**attempt]`` (capped
     at :data:`MAX_RETRY_WAIT`) instead of being the deterministic
@@ -767,74 +764,85 @@ def _retry_wait(backoff: float, attempt: int,
     same moment (shared cache blip, campaign worker wave) would otherwise
     retry in lockstep and hammer the cache directory again together.
     """
-    if backoff > 0:
-        time.sleep(rng.uniform(0.0, min(backoff * (2 ** attempt),
-                                        MAX_RETRY_WAIT)))
+    if backoff <= 0:
+        return 0.0  # the rng is not even drawn
+    return rng.uniform(0.0, min(backoff * (2 ** attempt), MAX_RETRY_WAIT))
 
 
-def _parallel_simulate(
-    missing: Sequence[RunSpec],
-    jobs: int,
-    timeout: Optional[float],
-    retries: int,
-    backoff: float,
-    checkpoint_every: Optional[int],
-) -> List[JobFailure]:
-    """Simulate *missing* specs in worker waves with per-job deadlines.
+def _parallel_simulate(missing: Sequence[RunSpec], jobs: int,
+                       timeout: Optional[float], retries: int, backoff: float,
+                       checkpoint_every: Optional[int]) -> List[JobFailure]:
+    """Simulate *missing* specs, one forked process per job, keeping up to
+    *jobs* of them running.
 
-    Each wave gets a pool of exactly as many processes as jobs, so every
-    job starts immediately and ``timeout`` bounds each job's wall clock
-    from the wave start.  A worker that raises surfaces as an ``"error"``
-    failure; one that hangs (or dies without reporting) as a ``"timeout"``
-    — the wave's pool is torn down either way, so a poison-pill spec can
-    never wedge the suite.  Failed specs are re-queued into later waves up
-    to *retries* times with exponential backoff.
+    Work-conserving: the moment a job ends the next queued spec starts, so
+    a slow job never idles the other slots.  ``timeout`` bounds each job's
+    wall clock from its own start; a job past it is killed.  A worker that
+    raises surfaces as an ``"error"`` failure; one that hangs, or dies
+    without reporting (its pipe ends with no message: SIGKILL, OOM), as a
+    ``"timeout"``, the latter at once.  A failed spec is re-queued up to
+    *retries* times, not before its own jittered backoff, which holds no
+    slot.  No job process outlives this call.
     """
-    methods = multiprocessing.get_all_start_methods()
+    from multiprocessing.connection import wait
+
     context = multiprocessing.get_context(
-        "fork" if "fork" in methods else "spawn")
+        "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn")
+    inf = float("inf")
     failures: List[JobFailure] = []
-    queue = deque((spec, 0) for spec in missing)
-    while queue:
-        wave = [queue.popleft() for _ in range(min(jobs, len(queue)))]
-        retry: List[Tuple[RunSpec, int]] = []
-        with context.Pool(processes=len(wave)) as pool:
-            handles = [
-                (spec, attempt, pool.apply_async(
-                    _worker, (spec.to_dict(), checkpoint_every)))
-                for spec, attempt in wave
-            ]
-            deadline = (time.monotonic() + timeout
-                        if timeout is not None else None)
-            for spec, attempt, handle in handles:
-                remaining = (max(0.0, deadline - time.monotonic())
-                             if deadline is not None else None)
-                try:
-                    payload = handle.get(remaining)
-                except multiprocessing.TimeoutError:
-                    if attempt < retries:
-                        retry.append((spec, attempt + 1))
-                    else:
-                        failures.append(_failure(
-                            spec, "timeout",
-                            f"no result within {timeout:g}s", attempt + 1))
-                except Exception as err:  # noqa: BLE001 - recorded per spec
-                    if attempt < retries:
-                        retry.append((spec, attempt + 1))
-                    else:
-                        failures.append(_failure(
-                            spec, "error",
-                            f"{type(err).__name__}: {err}", attempt + 1))
+    queue = [(0.0, spec, 0) for spec in missing]  # (not before, spec, attempt)
+    running: Dict[object, tuple] = {}  # pipe -> (process, spec, attempt, deadline)
+    try:
+        while queue or running:
+            free = len(running) < jobs
+            wake = min([job[3] for job in running.values()]
+                       + [item[0] for item in queue if free], default=inf)
+            ready = wait(list(running), None if wake == inf
+                         else max(0.0, wake - time.monotonic()))
+            now = time.monotonic()
+            ended = []
+            for reader, (proc, spec, attempt, deadline) in list(running.items()):
+                if reader in ready:
+                    try:
+                        message = reader.recv()
+                    except EOFError:  # died without a word: SIGKILL, OOM
+                        proc.join()
+                        message = ("timeout", "worker died without reporting "
+                                   f"(exit code {proc.exitcode})")
+                elif deadline <= now:
+                    proc.kill()
+                    message = ("timeout", f"no result within {timeout:g}s")
                 else:
-                    # The worker's own count died with it.
-                    COUNTS["simulations"] += 1
-                    result, profile = _rehydrate(payload)
-                    _disk_store(spec, payload)
-                    _RESULT_CACHE[spec] = (result, profile, None)
-            # Pool.__exit__ terminates the workers, killing any hung ones.
-        if retry:
-            _retry_wait(backoff, retry[0][1] - 1)
-            queue.extend(retry)
+                    continue
+                proc.join()
+                reader.close()
+                del running[reader]
+                ended.append((spec, attempt, message))
+            for item in [i for i in queue if i[0] <= now][:jobs - len(running)]:
+                queue.remove(item)
+                reader, writer = context.Pipe(duplex=False)
+                proc = context.Process(target=_worker, args=(
+                    writer, item[1].to_dict(), checkpoint_every))
+                proc.start()
+                writer.close()
+                running[reader] = (proc, item[1], item[2], time.monotonic()
+                                   + (inf if timeout is None else timeout))
+            # Only now, with the freed slots refilled, store what ended.
+            for spec, attempt, (kind, body) in ended:
+                if kind == "ok":
+                    COUNTS["simulations"] += 1  # the worker's count died with it
+                    _disk_store(spec, body)
+                    _RESULT_CACHE[spec] = (*_rehydrate(body), None)
+                elif attempt < retries:
+                    queue.append((time.monotonic() + _retry_delay(
+                        backoff, attempt), spec, attempt + 1))
+                else:
+                    failures.append(_failure(spec, kind, body, attempt + 1))
+    finally:
+        for reader, (proc, *_) in running.items():
+            proc.kill()
+            proc.join()
+            reader.close()
     return failures
 
 
@@ -848,20 +856,20 @@ def prefetch(
     failures_out: Optional[List[JobFailure]] = None,
     checkpoint_every: Optional[int] = None,
 ) -> int:
-    """Ensure every spec's result is available, simulating missing ones with
-    a pool of up to *jobs* worker processes.  Returns the number of
+    """Ensure every spec's result is available, simulating missing ones in
+    up to *jobs* worker processes at a time.  Returns the number of
     simulations attempted.
 
     Workers return *serialized* results, so a parallel sweep is bit-identical
     to a serial one; completed payloads land in the disk cache (when enabled)
     and the in-process memo.
 
-    ``timeout`` bounds each job's wall-clock seconds (hung or silently
-    dying workers are reaped); ``retries`` re-runs a failed job that many
-    extra times with exponential ``backoff``.  Failures are appended to ``failures_out``
-    (when given) and raised as one :class:`SuiteError` unless
-    ``strict=False``.  ``checkpoint_every`` is as for
-    :func:`run_benchmark`.
+    ``timeout`` bounds each job's wall clock from its own start (hung
+    workers are killed, dead ones reported at once); ``retries`` re-runs a
+    failed job that many extra times with exponential ``backoff``.
+    Failures are appended to ``failures_out`` (when given) and raised as
+    one :class:`SuiteError` unless ``strict=False``.  ``checkpoint_every``
+    is as for :func:`run_benchmark`.
     """
     missing: List[RunSpec] = []
     seen = set()

@@ -100,6 +100,8 @@ class ReuseProbeStage(Stage):
         self._c_reused = counters.handle("reused")
         self._c_reused_loads = counters.handle("reused_loads")
         self._c_retry_wakeups = self.counter("retry_wakeups")
+        self._pending_retry = (core.unit is not None
+                               and core.unit.wir.pending_retry)
 
     def bind(self, spec) -> None:
         self._rename = spec.rename
@@ -143,14 +145,15 @@ class ReuseProbeStage(Stage):
         tag = (plan.opcode_index, descs)
 
         barrier_count = warp.barrier_count
-        tbid = unit.entry_tbid(warp, inst)
+        pending_retry = self._pending_retry
         outcome, result_reg, index = unit.reuse_buffer.lookup(
             tag,
             is_load=load,
             consumer_barrier_count=barrier_count,
             consumer_tbid=warp.block.block_id & 0xF,
-            pending_retry=unit.wir.pending_retry,
-            make_waiter=lambda: self.make_waiter(warp, inst, exec_result),
+            pending_retry=pending_retry,
+            make_waiter=self.make_waiter,
+            waiter_args=(warp, inst, exec_result),
         )
         if outcome == "hit":
             # Transit reference: the result register must survive until this
@@ -172,11 +175,11 @@ class ReuseProbeStage(Stage):
         # remember the index for the retire-time update.
         reserved = False
         token = -1
-        if unit.wir.pending_retry:
+        if pending_retry:
             allow = not unit.in_low_register_mode()
             reservation = unit.reuse_buffer.reserve(
-                tag, is_load=load, barrier_count=barrier_count, tbid=tbid,
-                allow_insert=allow,
+                tag, is_load=load, barrier_count=barrier_count,
+                tbid=unit.entry_tbid(warp, inst), allow_insert=allow,
             )
             if reservation is not None:
                 index, token = reservation

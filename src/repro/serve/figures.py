@@ -22,8 +22,9 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.energy import EnergyReport, compute_energy
-from repro.harness.runner import RunSpec, lookup_result, run_benchmark
+from repro.energy import EnergyReport
+from repro.harness.runner import (RunSpec, default_energy, lookup_result,
+                                  run_benchmark)
 from repro.profiling import RedundancyProfile
 from repro.serve.query import QuerySpec, required_specs
 from repro.sim.gpu import RunResult
@@ -218,4 +219,4 @@ def load_cached(spec: RunSpec) -> Optional[LoadedRun]:
         return None
     result, profile = found
     return LoadedRun(spec=spec, digest=spec.digest(), result=result,
-                     energy=compute_energy(result), profile=profile)
+                     energy=default_energy(spec, result), profile=profile)

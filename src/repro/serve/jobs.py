@@ -22,6 +22,7 @@ poll reads only the journal bytes appended since the previous poll.
 
 from __future__ import annotations
 
+import gc
 import queue
 import threading
 import time
@@ -38,6 +39,12 @@ from repro.harness.runner import RunSpec
 #: queue get).  Chaos tests monkeypatch it to raise and kill the drain
 #: thread mid-service, proving the watchdog restart path.
 _TEST_DRAIN_HOOK: Optional[Callable[[], None]] = None
+
+#: Idle seconds after which the drain thread frees the reference cycles
+#: finished simulations left.  The hot path allocates too little to make
+#: the GC reach them soon, and collecting at once would stall the cold
+#: response that is waiting for the job.
+IDLE_GC_DELAY = 0.25
 
 
 class JobQueueFull(Exception):
@@ -240,7 +247,11 @@ class JobManager:
         while True:
             if _TEST_DRAIN_HOOK is not None:
                 _TEST_DRAIN_HOOK()  # outside the try: crashes kill the thread
-            job = self._queue.get()
+            try:
+                job = self._queue.get(timeout=IDLE_GC_DELAY)
+            except queue.Empty:
+                gc.collect()
+                job = self._queue.get()
             if job is None or self._stop.is_set():
                 return
             self._current = job

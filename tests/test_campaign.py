@@ -363,22 +363,23 @@ class TestRetryJitter:
 
         def uniform(self, low, high):
             self.calls.append((low, high))
-            return 0.0  # sleep(0): harmless
+            return high / 2
 
     def test_wait_is_uniform_over_the_exponential_window(self):
         rng = self.Rng()
-        runner._retry_wait(0.25, 0, rng=rng)
-        runner._retry_wait(0.25, 3, rng=rng)
+        assert runner._retry_delay(0.25, 0, rng=rng) == 0.125
+        assert runner._retry_delay(0.25, 3, rng=rng) == 1.0
         assert rng.calls == [(0.0, 0.25), (0.0, 2.0)]
 
     def test_window_is_capped(self):
         rng = self.Rng()
-        runner._retry_wait(0.25, 50, rng=rng)
+        assert runner._retry_delay(0.25, 50, rng=rng) == \
+            runner.MAX_RETRY_WAIT / 2
         assert rng.calls == [(0.0, runner.MAX_RETRY_WAIT)]
 
     def test_zero_backoff_never_sleeps(self):
         rng = self.Rng()
-        runner._retry_wait(0.0, 5, rng=rng)
+        assert runner._retry_delay(0.0, 5, rng=rng) == 0.0
         assert rng.calls == []
 
 

@@ -8,6 +8,11 @@ or bit-rot is detected, the entry deleted, and the run re-simulated.
 """
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import textwrap
 import time
 from pathlib import Path
 
@@ -23,6 +28,10 @@ from tests.conftest import SIMPLE_ARITH, make_config
 
 #: Short per-job deadline for the hang tests (the hang sleeps far longer).
 TIMEOUT = 10.0
+
+#: The repository root (the hang test's child imports ``repro`` and
+#: ``tests`` from here).
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(autouse=True)
@@ -111,6 +120,115 @@ class TestWorkerFailures:
         assert len(failures) == 1
         assert failures[0].attempts == 3
         assert failures[0].kind == "error"
+
+
+    def test_dead_worker_without_timeout_is_reported_at_once(self):
+        """A worker SIGKILLed mid-job (as by the OOM killer) is a
+        ``"timeout"`` failure even with no ``timeout``, and its sibling
+        still lands.  Run in a child process so a regression fails here
+        instead of blocking the suite forever."""
+        script = textwrap.dedent("""
+            import json, os, signal
+            import repro.harness.runner as runner
+
+            def kill_ga(spec):
+                if spec.abbr == "GA":
+                    os.kill(os.getpid(), signal.SIGKILL)
+
+            runner._TEST_HOOK = kill_ga
+            specs = [runner.RunSpec.make(abbr, "Base", num_sms=1, seed=41)
+                     for abbr in ("GA", "HT")]
+            failures = []
+            runner.prefetch(specs, jobs=2, strict=False,
+                            failures_out=failures)
+            print(json.dumps({
+                "failures": [[f.spec.abbr, f.kind, f.attempts]
+                             for f in failures],
+                "ht_cached": specs[1] in runner._RESULT_CACHE}))
+        """)
+        env = {key: value for key, value in os.environ.items()
+               if key != "REPRO_CACHE_DIR"}
+        env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT)])
+        child = subprocess.Popen([sys.executable, "-c", script], env=env,
+                                 stdout=subprocess.PIPE, text=True,
+                                 start_new_session=True)
+        try:
+            out, _ = child.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)  # the workers too
+            child.communicate()
+            pytest.fail("prefetch still blocked 60 s after a worker died")
+        assert child.returncode == 0
+        report = json.loads(out)
+        assert report["failures"] == [["GA", "timeout", 1]]
+        assert report["ht_cached"]
+
+
+class TestWorkConserving:
+    """``prefetch`` starts the next job the moment a slot frees."""
+
+    @staticmethod
+    def _record_spans(monkeypatch, log: Path):
+        """Make every simulation append ``abbr start|end time`` to *log*."""
+        simulate = runner._simulate
+
+        def timed(spec, *args, **kwargs):
+            with log.open("a") as out:
+                out.write(f"{spec.abbr} start {time.monotonic()}\n")
+            try:
+                return simulate(spec, *args, **kwargs)
+            finally:
+                with log.open("a") as out:
+                    out.write(f"{spec.abbr} end {time.monotonic()}\n")
+
+        monkeypatch.setattr(runner, "_simulate", timed)
+
+    @staticmethod
+    def _spans(log: Path):
+        spans = {}
+        for line in log.read_text().splitlines():
+            abbr, event, stamp = line.split()
+            spans.setdefault((abbr, event), []).append(float(stamp))
+        return spans
+
+    def test_a_slow_job_does_not_hold_the_free_slot(self, monkeypatch,
+                                                    tmp_path):
+        log = tmp_path / "spans.log"
+        self._record_spans(monkeypatch, log)
+        _install_hook(monkeypatch, lambda spec: time.sleep(3.0)
+                      if spec.abbr == "GA" else None)
+        specs = [RunSpec.make(abbr, "Base", num_sms=1, seed=43)
+                 for abbr in ("GA", "HT", "DW")]
+        prefetch(specs, jobs=2)
+        spans = self._spans(log)
+        # DW waited for HT's slot, not for the wave that GA holds up.
+        assert spans[("DW", "start")][0] < spans[("GA", "end")][0]
+        assert all(spec in runner._RESULT_CACHE for spec in specs)
+
+    def test_a_retried_failure_does_not_delay_a_running_sibling(
+            self, monkeypatch, tmp_path):
+        log = tmp_path / "spans.log"
+        flag = tmp_path / "failed-once"
+        self._record_spans(monkeypatch, log)
+
+        def hook(spec):
+            if spec.abbr == "GA":
+                time.sleep(3.0)
+            elif not flag.exists():
+                flag.write_text("x")
+                raise RuntimeError("transient")
+
+        _install_hook(monkeypatch, hook)
+        failures = []
+        prefetch([RunSpec.make(abbr, "Base", num_sms=1, seed=45)
+                  for abbr in ("GA", "HT")],
+                 jobs=2, retries=1, backoff=0.0, failures_out=failures)
+        assert not failures
+        spans = self._spans(log)
+        ga_end = spans[("GA", "end")][0]
+        # HT's retry ran beside GA instead of waiting for it.
+        assert len(spans[("HT", "start")]) == 2
+        assert spans[("HT", "end")][1] < ga_end
 
 
 class TestCacheIntegrity:

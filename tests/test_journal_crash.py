@@ -22,7 +22,8 @@ from pathlib import Path
 import pytest
 
 import repro.campaign.journal as journal
-from repro.campaign.journal import (FSYNC_ENV, append_record, read_journal)
+from repro.campaign.journal import (FSYNC_ENV, JournalTail, append_record,
+                                   read_journal)
 from repro.ckpt import canonical_sha256
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -135,3 +136,46 @@ class TestSigkillMidAppend:
             record = json.loads(line)
             body = {k: v for k, v in record.items() if k != "sum"}
             assert record["sum"] == canonical_sha256(body)
+
+
+class TestAppendAfterTear:
+    """An append after a torn tail starts on a fresh line."""
+
+    def test_append_after_every_tear_point_loses_nothing(self, tmp_path):
+        """Cut the final record at every byte (the all-but-the-newline
+        cut included), then append: the new record reads back, and so does
+        every record the one-shot read returned before the append."""
+        path = tmp_path / "journal.jsonl"
+        for seq in range(3):
+            append_record(path, "claim", {"job": f"job{seq}", "seq": seq})
+        raw = path.read_bytes()
+        last_line_start = raw.rstrip(b"\n").rfind(b"\n") + 1
+        for cut in range(last_line_start + 1, len(raw)):
+            torn = tmp_path / f"torn-{cut}.jsonl"
+            torn.write_bytes(raw[:cut])
+            tail = JournalTail(torn).poll()
+            before = [r["data"]["seq"] for r in read_journal(torn).records]
+            append_record(torn, "complete", {"job": "new", "seq": 99})
+            out = read_journal(torn)
+            assert [r["data"]["seq"] for r in out.records] == before + [99]
+            assert not out.torn_tail
+            tail.poll()
+            assert (tail.records, tail.corrupt) == (out.records, out.corrupt)
+
+    def test_racing_healers_leave_an_empty_line_that_is_not_corrupt(
+            self, tmp_path):
+        """Two appenders that both saw the torn tail each write a newline
+        first; the empty line between their records is skipped."""
+        path = tmp_path / "journal.jsonl"
+        append_record(path, "claim", {"job": "a", "seq": 0})
+        whole = path.read_bytes()
+        path.write_bytes(whole + whole[:9])  # a second record, torn
+        append_record(path, "claim", {"job": "b", "seq": 1})
+        with path.open("ab") as handle:
+            handle.write(b"\n")  # the loser of the race healed too
+        append_record(path, "claim", {"job": "c", "seq": 2})
+        assert b"\n\n" in path.read_bytes()
+        out = read_journal(path)
+        assert [r["data"]["seq"] for r in out.records] == [0, 1, 2]
+        assert (out.corrupt, out.torn_tail) == (1, False)  # the fragment
+        assert JournalTail(path).poll().corrupt == 1

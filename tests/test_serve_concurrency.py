@@ -127,3 +127,44 @@ class TestInterleavedStorm:
         assert runner.COUNTS["simulations"] == simulations_before
         assert service.counts["hits"] == len(hits)
         assert service.counts["misses"] == len(misses)
+
+
+class TestDrainThreadGC:
+    def test_idle_drain_frees_a_finished_jobs_reference_cycles(
+            self, tmp_path, monkeypatch):
+        """A simulation's object graph is reference cycles, which only the
+        cyclic GC frees; the drain thread runs it once idle, so a server
+        whose hot path allocates little does not hold dead graphs."""
+        import gc
+        import time
+        import weakref
+
+        from repro.harness.runner import RunSpec
+        from repro.serve import jobs as jobs_module
+
+        class Node:
+            pass
+
+        refs = []
+
+        def leave_a_cycle(spec):
+            node = Node()
+            node.self = node
+            refs.append(weakref.ref(node))
+
+        monkeypatch.setattr(runner, "_TEST_HOOK", leave_a_cycle)
+        set_cache_dir(tmp_path / "cache")
+        manager = jobs_module.JobManager(tmp_path)
+        gc.disable()  # only an explicit collection may free the cycle
+        manager.start()
+        try:
+            manager.submit([RunSpec.make("HT", "Base", scale=1, num_sms=1)])
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline and not (
+                    refs and refs[0]() is None):
+                time.sleep(0.05)
+            assert manager.counts["drained"] == 1
+            assert refs and refs[0]() is None
+        finally:
+            manager.stop()
+            gc.enable()

@@ -116,6 +116,32 @@ class TestHits:
         assert first == second
 
 
+    def test_load_cached_computes_energy_once_per_spec(self, warm_base,
+                                                        monkeypatch):
+        from repro.serve import figures
+
+        compute = runner.compute_energy
+        calls = []
+
+        def counting(result):
+            calls.append(result)
+            return compute(result)
+
+        # Wherever the serve layer reaches compute_energy from.
+        monkeypatch.setattr(runner, "compute_energy", counting)
+        monkeypatch.setattr(figures, "compute_energy", counting,
+                            raising=False)
+        set_cache_dir(warm_base)
+        spec = RunSpec.make("GA", "RLPV", scale=1, num_sms=1)
+        first = figures.load_cached(spec)
+        second = figures.load_cached(spec)
+        assert len(calls) == 1
+        assert second.energy == first.energy == compute(first.result)
+        clear_cache()  # drops the energy memo with the result memo
+        figures.load_cached(spec)
+        assert len(calls) == 2
+
+
 class TestErrors:
     def _envelope(self, doc):
         assert set(doc) == {"error"}
